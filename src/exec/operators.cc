@@ -441,6 +441,115 @@ double TopNOp::Progress() const {
 }
 
 // ---------------------------------------------------------------------------
+// Hash-table helpers
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Seed of every row hash: the chain of ColumnVector::HashRow over the key
+// columns, computed per batch with HashRows.
+constexpr uint64_t kRowHashSeed = 0x9e3779b97f4a7c15ULL;
+
+void HashKeys(const Batch& batch, const std::vector<int>& key_idx,
+              std::vector<uint64_t>* hashes) {
+  hashes->assign(batch.num_rows, kRowHashSeed);
+  for (int k : key_idx) {
+    batch.columns[k]->HashRows(batch.num_rows, hashes->data());
+  }
+}
+
+const void* Storage(const ColumnVector& c) {
+  switch (c.type()) {
+    case TypeId::kBool:
+      return c.Raw<uint8_t>();
+    case TypeId::kInt32:
+    case TypeId::kDate:
+      return c.Raw<int32_t>();
+    case TypeId::kInt64:
+      return c.Raw<int64_t>();
+    case TypeId::kDouble:
+      return c.Raw<double>();
+    case TypeId::kString:
+      return c.Raw<std::string>();
+  }
+  RDB_UNREACHABLE("bad type");
+}
+
+KeyPair BindKeys(const ColumnVector& a, const ColumnVector& b) {
+  RDB_CHECK_MSG(a.type() == b.type(), "hash key type mismatch");
+  return {a.type(), Storage(a), Storage(b)};
+}
+
+template <typename T>
+bool CellsEqual(const KeyPair& k, int64_t a, int64_t b) {
+  return static_cast<const T*>(k.a)[a] == static_cast<const T*>(k.b)[b];
+}
+
+bool KeysEqual(const std::vector<KeyPair>& keys, int64_t a, int64_t b) {
+  for (const KeyPair& k : keys) {
+    bool equal = false;
+    switch (k.type) {
+      case TypeId::kBool:
+        equal = CellsEqual<uint8_t>(k, a, b);
+        break;
+      case TypeId::kInt32:
+      case TypeId::kDate:
+        equal = CellsEqual<int32_t>(k, a, b);
+        break;
+      case TypeId::kInt64:
+        equal = CellsEqual<int64_t>(k, a, b);
+        break;
+      case TypeId::kDouble:
+        equal = CellsEqual<double>(k, a, b);
+        break;
+      case TypeId::kString:
+        equal = CellsEqual<std::string>(k, a, b);
+        break;
+    }
+    if (!equal) return false;
+  }
+  return true;
+}
+
+// Smallest power of two >= max(n, 1).
+size_t BucketCount(size_t n) {
+  size_t b = 1;
+  while (b < n) b <<= 1;
+  return b;
+}
+
+// Appends typed results, converting like ColumnVector::Append when the
+// output column has another type.
+void AppendInt64s(ColumnVector* col, const int64_t* v, int64_t n) {
+  if (col->type() == TypeId::kInt64) {
+    col->Data<int64_t>().insert(col->Data<int64_t>().end(), v, v + n);
+    return;
+  }
+  for (int64_t i = 0; i < n; ++i) col->Append(v[i]);
+}
+
+void AppendDoubles(ColumnVector* col, const double* v, int64_t n) {
+  if (col->type() == TypeId::kDouble) {
+    col->Data<double>().insert(col->Data<double>().end(), v, v + n);
+    return;
+  }
+  for (int64_t i = 0; i < n; ++i) col->Append(v[i]);
+}
+
+// MIN/MAX order: DatumCompare's, so numerics compare as doubles (int64
+// values beyond 2^53 may tie, and NaN never replaces nor is replaced).
+template <typename T>
+bool ExtremeLess(const T& a, const T& b) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return a < b;
+  } else {
+    return static_cast<double>(a) < static_cast<double>(b);
+  }
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // HashAggOp
 // ---------------------------------------------------------------------------
 
@@ -460,106 +569,196 @@ void HashAggOp::Open() {
   child_->Open();
   consumed_ = false;
   pos_ = 0;
-  num_groups_ = 0;
-  group_map_.clear();
-  states_.assign(aggs_.size(), {});
 }
 
-int64_t HashAggOp::FindOrCreateGroup(const Batch& /*batch*/,
-                                     const std::vector<ColumnPtr>& key_cols,
-                                     int64_t row, uint64_t hash) {
-  auto range = group_map_.equal_range(hash);
-  for (auto it = range.first; it != range.second; ++it) {
-    int64_t g = it->second;
-    bool equal = true;
-    for (size_t k = 0; k < key_cols.size(); ++k) {
-      if (!group_keys_->column(static_cast<int>(k))
-               ->RowEquals(g, *key_cols[k], row)) {
-        equal = false;
-        break;
+void HashAggOp::Link(int64_t group) {
+  int64_t& head = (*heads_)[(*group_hashes_)[group] & (heads_->size() - 1)];
+  (*next_)[group] = head;
+  head = group;
+}
+
+void HashAggOp::AddGroupSlots() {
+  group_rows_->push_back(0);
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    AggState& st = states_[a];
+    if (aggs_[a].fn == AggFunc::kSum || aggs_[a].fn == AggFunc::kAvg) {
+      if (st.double_sum) {
+        st.dsum->push_back(0);
+      } else {
+        st.isum->push_back(0);
       }
     }
-    if (equal) return g;
   }
-  // New group: append the key row.
-  std::vector<Datum> key_row;
-  key_row.reserve(key_cols.size());
-  for (const auto& kc : key_cols) key_row.push_back(kc->GetDatum(row));
-  group_keys_->AppendRow(key_row);
-  int64_t g = num_groups_++;
-  group_map_.emplace(hash, g);
-  for (auto& s : states_) s.emplace_back();
+}
+
+int64_t HashAggOp::AddGroup(const Batch& batch,
+                            const std::vector<ColumnPtr>& args, int64_t row,
+                            uint64_t hash) {
+  for (size_t k = 0; k < group_idx_.size(); ++k) {
+    group_keys_[k]->AppendRange(*batch.columns[group_idx_[k]], row, 1);
+  }
+  group_hashes_->push_back(hash);
+  next_->push_back(-1);
+  AddGroupSlots();
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    // The group's first value; folding the same row again is a no-op.
+    std::optional<ScratchColumn>& extreme = states_[a].extreme;
+    if (extreme) (*extreme)->AppendRange(*args[a], row, 1);
+  }
+  const int64_t g = num_groups_++;
+  if (static_cast<size_t>(num_groups_) <= heads_->size()) {
+    Link(g);
+  } else {
+    // Load factor above 1: double the buckets and relink every group
+    // from its stored hash (keys are unique, so chain order is free).
+    heads_->assign(heads_->size() * 2, -1);
+    for (int64_t i = 0; i < num_groups_; ++i) Link(i);
+  }
   return g;
 }
 
-void HashAggOp::Consume() {
-  // Key table schema: the group-by prefix of the output schema.
-  std::vector<Field> key_fields;
-  for (size_t k = 0; k < group_by_.size(); ++k) {
-    key_fields.push_back(output_schema_.field(static_cast<int>(k)));
+void HashAggOp::AssignGroups(const Batch& batch,
+                             const std::vector<ColumnPtr>& args) {
+  HashKeys(batch, group_idx_, &batch_hashes_);
+  batch_groups_.resize(batch.num_rows);
+  // Group key storage moves as groups are appended: rebind after each.
+  auto bind = [&] {
+    keys_.clear();
+    for (size_t k = 0; k < group_idx_.size(); ++k) {
+      keys_.push_back(
+          BindKeys(*batch.columns[group_idx_[k]], *group_keys_[k]));
+    }
+  };
+  bind();
+  for (int64_t r = 0; r < batch.num_rows; ++r) {
+    const uint64_t h = batch_hashes_[r];
+    int64_t g = (*heads_)[h & (heads_->size() - 1)];
+    while (g >= 0 && !((*group_hashes_)[g] == h && KeysEqual(keys_, r, g))) {
+      g = (*next_)[g];
+    }
+    if (g < 0) {
+      g = AddGroup(batch, args, r, h);
+      bind();
+    }
+    batch_groups_[r] = g;
   }
-  group_keys_ = MakeTable(Schema(std::move(key_fields)));
+}
 
+void HashAggOp::Accumulate(size_t agg, const ColumnVector& arg, int64_t n) {
+  AggState& st = states_[agg];
+  const int64_t* group = batch_groups_.data();
+  switch (aggs_[agg].fn) {
+    case AggFunc::kCount:
+      return;
+    case AggFunc::kSum:
+    case AggFunc::kAvg: {
+      if (agg_arg_types_[agg] == TypeId::kDouble) {
+        const double* v = arg.Raw<double>();
+        // Integral SUM output over a double argument stays 0 (isum).
+        if (!st.double_sum) return;
+        double* sum = st.dsum->data();
+        for (int64_t r = 0; r < n; ++r) sum[group[r]] += v[r];
+        return;
+      }
+      auto fold = [&](const auto* v) {
+        if (st.double_sum) {
+          double* sum = st.dsum->data();
+          for (int64_t r = 0; r < n; ++r) {
+            sum[group[r]] += static_cast<double>(v[r]);
+          }
+        } else {
+          int64_t* sum = st.isum->data();
+          for (int64_t r = 0; r < n; ++r) sum[group[r]] += v[r];
+        }
+      };
+      if (agg_arg_types_[agg] == TypeId::kInt64) {
+        fold(arg.Raw<int64_t>());
+      } else {
+        fold(arg.Raw<int32_t>());
+      }
+      return;
+    }
+    case AggFunc::kMin:
+    case AggFunc::kMax: {
+      const bool is_min = aggs_[agg].fn == AggFunc::kMin;
+      // The global group starts empty: seed it with its first value.
+      if ((*st.extreme)->size() < num_groups_) {
+        (*st.extreme)->AppendRange(arg, 0, 1);
+      }
+      (*st.extreme)->VisitStorage([&](auto& vals) {
+        using T = typename std::decay_t<decltype(vals)>::value_type;
+        const T* v = arg.Raw<T>();
+        for (int64_t r = 0; r < n; ++r) {
+          T& cur = vals[group[r]];
+          if (is_min ? ExtremeLess(v[r], cur) : ExtremeLess(cur, v[r])) {
+            cur = v[r];
+          }
+        }
+      });
+      return;
+    }
+  }
+}
+
+void HashAggOp::Consume() {
   const Schema& in = child_->output_schema();
   const bool global = group_by_.empty();
+  group_keys_.clear();
+  for (size_t k = 0; k < group_by_.size(); ++k) {
+    group_keys_.emplace_back(output_schema_.field(static_cast<int>(k)).type);
+  }
+  group_hashes_->clear();
+  group_rows_->clear();
+  next_->clear();
+  heads_->assign(global ? 1 : 256, -1);
+  states_.clear();
+  states_.reserve(aggs_.size());
+  for (size_t a = 0; a < aggs_.size(); ++a) {
+    AggState& st = states_.emplace_back();
+    const TypeId out =
+        output_schema_.field(static_cast<int>(group_by_.size() + a)).type;
+    switch (aggs_[a].fn) {
+      case AggFunc::kSum:
+        st.double_sum = out == TypeId::kDouble;
+        break;
+      case AggFunc::kAvg:
+        st.double_sum = true;
+        break;
+      case AggFunc::kMin:
+      case AggFunc::kMax:
+        st.extreme.emplace(agg_arg_types_[a]);
+        break;
+      case AggFunc::kCount:
+        break;
+    }
+  }
+  num_groups_ = 0;
   if (global) {
-    // Single implicit group.
+    // The single implicit group exists even for empty input.
+    AddGroupSlots();
     num_groups_ = 1;
-    for (auto& s : states_) s.emplace_back();
   }
 
   Batch batch;
+  std::vector<ColumnPtr> args(aggs_.size());
   while (child_->NextTimed(&batch)) {
-    // Evaluate group keys and aggregate arguments once per batch.
-    std::vector<ColumnPtr> key_cols;
-    key_cols.reserve(group_idx_.size());
-    for (int gi : group_idx_) key_cols.push_back(batch.columns[gi]);
-    std::vector<ColumnPtr> arg_cols;
-    arg_cols.reserve(aggs_.size());
-    for (const auto& a : aggs_) arg_cols.push_back(a.arg->Eval(batch, in));
-
-    for (int64_t r = 0; r < batch.num_rows; ++r) {
-      int64_t g = 0;
-      if (!global) {
-        uint64_t h = 0x9e3779b97f4a7c15ULL;
-        for (const auto& kc : key_cols) h = kc->HashRow(r, h);
-        g = FindOrCreateGroup(batch, key_cols, r, h);
-      }
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        AggState& st = states_[a][g];
-        const ColumnVector& arg = *arg_cols[a];
-        switch (aggs_[a].fn) {
-          case AggFunc::kSum:
-          case AggFunc::kAvg:
-            if (agg_arg_types_[a] == TypeId::kDouble) {
-              st.dsum += arg.Raw<double>()[r];
-            } else {
-              int64_t v = agg_arg_types_[a] == TypeId::kInt64
-                              ? arg.Raw<int64_t>()[r]
-                              : arg.Raw<int32_t>()[r];
-              st.isum += v;
-              st.dsum += static_cast<double>(v);
-            }
-            ++st.count;
-            break;
-          case AggFunc::kCount:
-            ++st.count;
-            break;
-          case AggFunc::kMin:
-          case AggFunc::kMax: {
-            Datum v = arg.GetDatum(r);
-            if (st.count == 0) {
-              st.min_v = v;
-              st.max_v = v;
-            } else {
-              if (DatumCompare(v, st.min_v) < 0) st.min_v = v;
-              if (DatumCompare(v, st.max_v) > 0) st.max_v = v;
-            }
-            ++st.count;
-            break;
-          }
-        }
-      }
+    const int64_t n = batch.num_rows;
+    if (n == 0) continue;
+    // COUNT never reads its argument, so it is not evaluated.
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      args[a] = aggs_[a].fn == AggFunc::kCount
+                    ? nullptr
+                    : aggs_[a].arg->Eval(batch, in);
+    }
+    if (global) {
+      batch_groups_.assign(n, 0);
+    } else {
+      AssignGroups(batch, args);
+    }
+    int64_t* rows = group_rows_->data();
+    for (int64_t r = 0; r < n; ++r) ++rows[batch_groups_[r]];
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      if (args[a] != nullptr) Accumulate(a, *args[a], n);
     }
   }
   consumed_ = true;
@@ -571,35 +770,46 @@ bool HashAggOp::Next(Batch* out) {
   int64_t count = std::min(kDefaultBatchRows, num_groups_ - pos_);
   InitBatch(output_schema_, out);
   const int ng = static_cast<int>(group_by_.size());
-  // Group key columns.
   for (int k = 0; k < ng; ++k) {
-    out->columns[k]->AppendRange(*group_keys_->column(k), pos_, count);
+    out->columns[k]->AppendRange(*group_keys_[k], pos_, count);
   }
-  // Aggregate columns.
+  const int64_t* rows = group_rows_->data() + pos_;
   for (size_t a = 0; a < aggs_.size(); ++a) {
-    ColumnVector& col = *out->columns[ng + static_cast<int>(a)];
-    for (int64_t g = pos_; g < pos_ + count; ++g) {
-      const AggState& st = states_[a][g];
-      switch (aggs_[a].fn) {
-        case AggFunc::kSum:
-          if (col.type() == TypeId::kDouble) {
-            col.Append(st.dsum);
-          } else {
-            col.Append(st.isum);
-          }
+    ColumnVector* col = out->columns[ng + static_cast<int>(a)].get();
+    const AggState& st = states_[a];
+    switch (aggs_[a].fn) {
+      case AggFunc::kSum:
+        if (st.double_sum) {
+          AppendDoubles(col, st.dsum->data() + pos_, count);
+        } else {
+          AppendInt64s(col, st.isum->data() + pos_, count);
+        }
+        break;
+      case AggFunc::kCount:
+        AppendInt64s(col, rows, count);
+        break;
+      case AggFunc::kAvg: {
+        std::vector<double> avg(count);
+        const double* sum = st.dsum->data() + pos_;
+        for (int64_t i = 0; i < count; ++i) {
+          avg[i] = rows[i] == 0 ? 0.0 : sum[i] / rows[i];
+        }
+        AppendDoubles(col, avg.data(), count);
+        break;
+      }
+      case AggFunc::kMin:
+      case AggFunc::kMax: {
+        const ColumnVector& vals = **st.extreme;
+        if (col->type() == vals.type() && vals.size() >= pos_ + count) {
+          col->AppendRange(vals, pos_, count);
           break;
-        case AggFunc::kCount:
-          col.Append(st.count);
-          break;
-        case AggFunc::kAvg:
-          col.Append(st.count == 0 ? 0.0 : st.dsum / st.count);
-          break;
-        case AggFunc::kMin:
-          col.Append(st.count == 0 ? PadValue(col.type()) : st.min_v);
-          break;
-        case AggFunc::kMax:
-          col.Append(st.count == 0 ? PadValue(col.type()) : st.max_v);
-          break;
+        }
+        // Another output type, or the global group over empty input.
+        for (int64_t i = 0; i < count; ++i) {
+          col->Append(rows[i] == 0 ? PadValue(col->type())
+                                   : vals.GetDatum(pos_ + i));
+        }
+        break;
       }
     }
   }
@@ -625,7 +835,9 @@ HashJoinOp::HashJoinOp(Schema output_schema, OperatorPtr left,
     : Operator(std::move(output_schema)),
       left_(std::move(left)),
       right_(std::move(right)),
-      kind_(kind) {
+      kind_(kind),
+      emit_right_(kind == JoinKind::kInner || kind == JoinKind::kLeftOuter ||
+                  kind == JoinKind::kSingle) {
   for (const auto& k : left_keys) {
     left_key_idx_.push_back(left_->output_schema().IndexOfChecked(k));
   }
@@ -641,15 +853,50 @@ void HashJoinOp::Open() {
 }
 
 void HashJoinOp::Build() {
-  build_table_ = MakeTable(right_->output_schema());
-  Batch in;
-  while (right_->NextTimed(&in)) build_table_->AppendBatch(in);
-  for (int64_t r = 0; r < build_table_->num_rows(); ++r) {
-    uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (int ki : right_key_idx_) {
-      h = build_table_->column(ki)->HashRow(r, h);
+  const Schema& rs = right_->output_schema();
+  // Kept columns, as indexes into the right schema.
+  std::vector<int> kept;
+  if (emit_right_) {
+    for (int c = 0; c < rs.num_fields(); ++c) kept.push_back(c);
+    build_key_col_ = right_key_idx_;
+  } else {
+    kept = right_key_idx_;
+    build_key_col_.clear();
+    for (size_t k = 0; k < kept.size(); ++k) {
+      build_key_col_.push_back(static_cast<int>(k));
     }
-    build_map_.emplace(h, r);
+  }
+  build_cols_.clear();
+  for (int c : kept) build_cols_.emplace_back(rs.field(c).type);
+
+  build_hashes_->clear();
+  Batch in;
+  while (right_->NextTimed(&in)) {
+    for (size_t i = 0; i < kept.size(); ++i) {
+      build_cols_[i]->AppendAll(*in.columns[kept[i]]);
+    }
+    const size_t base = build_hashes_->size();
+    build_hashes_->resize(base + in.num_rows, kRowHashSeed);
+    for (int k : right_key_idx_) {
+      in.columns[k]->HashRows(in.num_rows, build_hashes_->data() + base);
+    }
+  }
+  const int64_t n = static_cast<int64_t>(build_hashes_->size());
+  heads_->assign(BucketCount(build_hashes_->size()), -1);
+  mask_ = heads_->size() - 1;
+  next_->resize(n);
+  // Head insertion in row order: each chain lists its rows newest first,
+  // the order the node-based multimap this table replaced gave equal keys.
+  for (int64_t r = 0; r < n; ++r) {
+    int64_t& head = (*heads_)[(*build_hashes_)[r] & mask_];
+    (*next_)[r] = head;
+    head = r;
+  }
+  if (kind_ == JoinKind::kLeftOuter) {
+    // Row n pads probe rows without a match.
+    for (size_t i = 0; i < kept.size(); ++i) {
+      build_cols_[i]->Append(PadValue(rs.field(kept[i]).type));
+    }
   }
   built_ = true;
 }
@@ -658,75 +905,79 @@ bool HashJoinOp::Next(Batch* out) {
   if (!built_) Build();
   Batch in;
   const int ncols_left = left_->output_schema().num_fields();
-  const bool emit_right = kind_ == JoinKind::kInner ||
-                          kind_ == JoinKind::kLeftOuter ||
-                          kind_ == JoinKind::kSingle;
+  const int64_t pad_row = static_cast<int64_t>(build_hashes_->size());
+  const uint64_t* build_hash = build_hashes_->data();
+  const int64_t* heads = heads_->data();
+  const int64_t* next = next_->data();
   while (left_->NextTimed(&in)) {
-    // Gather (probe_row, build_row) pairs; build_row = -1 pads.
-    std::vector<int32_t> probe_sel;
-    std::vector<int64_t> build_sel;
+    HashKeys(in, left_key_idx_, &probe_hashes_);
+    keys_.clear();
+    for (size_t k = 0; k < left_key_idx_.size(); ++k) {
+      keys_.push_back(BindKeys(*in.columns[left_key_idx_[k]],
+                               *build_cols_[build_key_col_[k]]));
+    }
+    // Gather (probe_row, build_row) pairs.
+    probe_sel_.clear();
+    build_sel_.clear();
     for (int64_t r = 0; r < in.num_rows; ++r) {
-      uint64_t h = 0x9e3779b97f4a7c15ULL;
-      for (int ki : left_key_idx_) h = in.columns[ki]->HashRow(r, h);
+      const uint64_t h = probe_hashes_[r];
       int match_count = 0;
-      auto range = build_map_.equal_range(h);
-      for (auto it = range.first; it != range.second; ++it) {
-        int64_t br = it->second;
-        bool equal = true;
-        for (size_t k = 0; k < left_key_idx_.size(); ++k) {
-          if (!in.columns[left_key_idx_[k]]->RowEquals(
-                  r, *build_table_->column(right_key_idx_[k]), br)) {
-            equal = false;
-            break;
-          }
-        }
-        if (!equal) continue;
+      for (int64_t br = heads[h & mask_]; br >= 0; br = next[br]) {
+        if (build_hash[br] != h || !KeysEqual(keys_, r, br)) continue;
         ++match_count;
-        if (kind_ == JoinKind::kSemi) break;  // existence is enough
-        if (kind_ == JoinKind::kAnti) continue;
-        probe_sel.push_back(static_cast<int32_t>(r));
-        build_sel.push_back(br);
+        // Semi and anti joins only need existence.
+        if (!emit_right_) break;
+        probe_sel_.push_back(static_cast<int32_t>(r));
+        build_sel_.push_back(br);
         RDB_CHECK_MSG(kind_ != JoinKind::kSingle || match_count <= 1,
                       "kSingle join found multiple matches");
       }
       switch (kind_) {
         case JoinKind::kSemi:
-          if (match_count > 0) probe_sel.push_back(static_cast<int32_t>(r));
+          if (match_count > 0) probe_sel_.push_back(static_cast<int32_t>(r));
           break;
         case JoinKind::kAnti:
-          if (match_count == 0) probe_sel.push_back(static_cast<int32_t>(r));
+          if (match_count == 0) probe_sel_.push_back(static_cast<int32_t>(r));
           break;
         case JoinKind::kLeftOuter:
           if (match_count == 0) {
-            probe_sel.push_back(static_cast<int32_t>(r));
-            build_sel.push_back(-1);
+            probe_sel_.push_back(static_cast<int32_t>(r));
+            build_sel_.push_back(pad_row);
           }
           break;
         default:
           break;
       }
     }
-    if (probe_sel.empty()) continue;
+    if (probe_sel_.empty()) continue;
+    // Every probe row kept once, in order (a foreign-key join, or a semi
+    // or anti join passing the whole batch): forward the probe columns
+    // untouched (zero copy) instead of gathering them.
+    bool identity = static_cast<int64_t>(probe_sel_.size()) == in.num_rows;
+    for (size_t i = 0; identity && i < probe_sel_.size(); ++i) {
+      identity = probe_sel_[i] == static_cast<int32_t>(i);
+    }
+    if (identity && !emit_right_) {
+      *out = std::move(in);
+      return true;
+    }
 
     InitBatch(output_schema_, out);
     for (int c = 0; c < ncols_left; ++c) {
-      out->columns[c]->AppendSelected(*in.columns[c], probe_sel);
-    }
-    if (emit_right) {
-      const Schema& rs = right_->output_schema();
-      for (int c = 0; c < rs.num_fields(); ++c) {
-        ColumnVector& dst = *out->columns[ncols_left + c];
-        const ColumnVector& src = *build_table_->column(c);
-        for (int64_t br : build_sel) {
-          if (br < 0) {
-            dst.Append(PadValue(rs.field(c).type));
-          } else {
-            dst.AppendRange(src, br, 1);
-          }
-        }
+      if (identity) {
+        out->columns[c] = in.columns[c];
+      } else {
+        out->columns[c]->AppendSelected(*in.columns[c], probe_sel_);
       }
     }
-    out->num_rows = static_cast<int64_t>(probe_sel.size());
+    if (emit_right_) {
+      for (size_t c = 0; c < build_cols_.size(); ++c) {
+        out->columns[ncols_left + static_cast<int>(c)]->AppendSelected(
+            *build_cols_[c], build_sel_.data(),
+            static_cast<int64_t>(build_sel_.size()));
+      }
+    }
+    out->num_rows = static_cast<int64_t>(probe_sel_.size());
     return true;
   }
   return false;

@@ -2,10 +2,10 @@
 // sort/top-N, hash aggregate, hash join.
 #pragma once
 
-#include <queue>
-#include <unordered_map>
+#include <optional>
 
 #include "exec/operator.h"
+#include "exec/scratch.h"
 #include "expr/aggregate.h"
 #include "plan/table_function.h"
 
@@ -183,7 +183,19 @@ class TopNOp : public Operator {
   bool consumed_ = false;
 };
 
+/// A hash-key column pair with both storages resolved once per batch,
+/// so row equality is RowEquals' (== on the storage type) without its
+/// per-call checks and dispatch. `a` is the batch side, `b` the table.
+struct KeyPair {
+  TypeId type;
+  const void* a;
+  const void* b;
+};
+
 /// Hash aggregate (blocking). With empty group_by produces exactly one row.
+/// Groups live in a flat chained hash table and are emitted in
+/// first-seen order (DESIGN.md, "Execution hash tables and scratch
+/// memory").
 class HashAggOp : public Operator {
  public:
   HashAggOp(Schema output_schema, OperatorPtr child,
@@ -195,18 +207,27 @@ class HashAggOp : public Operator {
   double Progress() const override;
 
  private:
+  /// One aggregate's per-group state. Only what its output reads is
+  /// kept: a double sum (AVG, floating SUM) or an int64 sum (integral
+  /// SUM), or the running MIN/MAX in the argument's type. COUNT and
+  /// AVG's divisor read the shared per-group row counts.
   struct AggState {
-    double dsum = 0;
-    int64_t isum = 0;
-    int64_t count = 0;
-    Datum min_v;
-    Datum max_v;
+    bool double_sum = false;
+    ScratchVector<double> dsum;
+    ScratchVector<int64_t> isum;
+    std::optional<ScratchColumn> extreme;
   };
 
   void Consume();
-  int64_t FindOrCreateGroup(const Batch& batch,
-                            const std::vector<ColumnPtr>& key_cols,
-                            int64_t row, uint64_t hash);
+  /// Fills batch_groups_ with the group of every row of `batch`, adding
+  /// groups (seeded from `args`) for unseen keys.
+  void AssignGroups(const Batch& batch, const std::vector<ColumnPtr>& args);
+  int64_t AddGroup(const Batch& batch, const std::vector<ColumnPtr>& args,
+                   int64_t row, uint64_t hash);
+  /// Appends a group's row count and zeroed sums.
+  void AddGroupSlots();
+  void Link(int64_t group);
+  void Accumulate(size_t agg, const ColumnVector& arg, int64_t n);
 
   OperatorPtr child_;
   std::vector<std::string> group_by_;
@@ -214,15 +235,22 @@ class HashAggOp : public Operator {
   std::vector<int> group_idx_;              // group column indexes in child
   std::vector<TypeId> agg_arg_types_;
 
-  TablePtr group_keys_;                     // one row per group
-  std::vector<std::vector<AggState>> states_;  // [agg][group]
-  std::unordered_multimap<uint64_t, int64_t> group_map_;
+  std::vector<ScratchColumn> group_keys_;   // one row per group
+  ScratchVector<uint64_t> group_hashes_;
+  ScratchVector<int64_t> group_rows_;       // input rows folded per group
+  ScratchVector<int64_t> heads_;            // bucket -> newest group, or -1
+  ScratchVector<int64_t> next_;             // group -> next in its bucket
+  std::vector<AggState> states_;
+  std::vector<uint64_t> batch_hashes_;
+  std::vector<int64_t> batch_groups_;
+  std::vector<KeyPair> keys_;               // batch keys vs. group_keys_
   int64_t num_groups_ = 0;
   int64_t pos_ = 0;
   bool consumed_ = false;
 };
 
-/// Hash equi-join; the right child is the build side.
+/// Hash equi-join; the right child is the build side. Matches of one
+/// probe row are emitted newest build row first.
 class HashJoinOp : public Operator {
  public:
   HashJoinOp(Schema output_schema, OperatorPtr left, OperatorPtr right,
@@ -239,9 +267,20 @@ class HashJoinOp : public Operator {
 
   OperatorPtr left_, right_;
   JoinKind kind_;
+  bool emit_right_;
   std::vector<int> left_key_idx_, right_key_idx_;
-  TablePtr build_table_;
-  std::unordered_multimap<uint64_t, int64_t> build_map_;
+  /// The build side's rows: every right column when the join emits them
+  /// (plus one pad row for left-outer misses), else only the key columns.
+  std::vector<ScratchColumn> build_cols_;
+  std::vector<int> build_key_col_;          // key k -> index in build_cols_
+  ScratchVector<uint64_t> build_hashes_;
+  ScratchVector<int64_t> heads_;            // bucket -> newest row, or -1
+  ScratchVector<int64_t> next_;             // row -> next older in bucket
+  uint64_t mask_ = 0;
+  std::vector<uint64_t> probe_hashes_;
+  std::vector<KeyPair> keys_;               // probe keys vs. build keys
+  std::vector<int32_t> probe_sel_;
+  std::vector<int64_t> build_sel_;
   bool built_ = false;
 };
 

@@ -5,6 +5,9 @@
 namespace recycledb {
 
 namespace {
+/// Smallest slack a finished result is trimmed for (see FinishIfNeeded).
+constexpr int64_t kMinTrimSlackBytes = int64_t{32} << 10;
+
 int64_t BatchBytes(const Batch& b) {
   int64_t total = 0;
   for (const auto& c : b.columns) total += c->ByteSize();
@@ -87,6 +90,11 @@ void StoreOp::FinishIfNeeded() {
   if (finished_) return;
   finished_ = true;
   if (materializing_) {
+    // Admitted entries keep no large vector-growth slack: the cache
+    // charges ByteSize(), and the slack would be resident for the
+    // entry's life. Below kMinTrimSlackBytes the copy is not worth it:
+    // it frees little and leaves a hole in the thread's heap.
+    if (result_->SlackBytes() >= kMinTrimSlackBytes) result_->ShrinkToFit();
     request_.on_complete(request_.token, result_, child_ms_);
   } else {
     request_.on_complete(request_.token, nullptr, child_ms_);

@@ -386,8 +386,27 @@ ColumnPtr Expr::Eval(const Batch& batch, const Schema& input) const {
     }
     case ExprKind::kLiteral: {
       auto out = MakeColumn(DatumType(literal_));
-      out->Reserve(n);
-      for (int64_t i = 0; i < n; ++i) out->Append(literal_);
+      switch (literal_.index()) {
+        case 1:
+          out->Data<uint8_t>().assign(n, std::get<bool>(literal_) ? 1 : 0);
+          break;
+        case 2:
+          out->Data<int32_t>().assign(n, std::get<int32_t>(literal_));
+          break;
+        case 3:
+          out->Data<int64_t>().assign(n, std::get<int64_t>(literal_));
+          break;
+        case 4:
+          out->Data<double>().assign(n, std::get<double>(literal_));
+          break;
+        case 5:
+          out->Data<std::string>().assign(n, std::get<std::string>(literal_));
+          break;
+        default:
+          // A NULL literal has no storage type: Append rejects it.
+          for (int64_t i = 0; i < n; ++i) out->Append(literal_);
+          break;
+      }
       return out;
     }
     case ExprKind::kParam:

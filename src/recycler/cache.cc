@@ -41,6 +41,19 @@ std::vector<RGNode*> RecyclerCache::Entries() const {
   return out;
 }
 
+std::vector<std::pair<double, RGNode*>> RecyclerCache::ByBenefit(
+    const std::vector<Entry>& entries) const {
+  std::vector<std::pair<double, RGNode*>> out;
+  out.reserve(entries.size());
+  for (const Entry& e : entries) out.emplace_back(benefit_fn_(e.node), e.node);
+  std::sort(out.begin(), out.end(),
+            [](const std::pair<double, RGNode*>& a,
+               const std::pair<double, RGNode*>& b) {
+              return a.first < b.first;
+            });
+  return out;
+}
+
 bool RecyclerCache::PlanEviction(double benefit, int64_t size_bytes,
                                  std::vector<RGNode*>* victims) const {
   int64_t free_bytes = unlimited()
@@ -74,14 +87,11 @@ bool RecyclerCache::PlanEviction(double benefit, int64_t size_bytes,
     for (const auto& [g, entries] : groups_) {
       all.insert(all.end(), entries.begin(), entries.end());
     }
-    std::sort(all.begin(), all.end(), [this](const Entry& a, const Entry& b) {
-      return benefit_fn_(a.node) < benefit_fn_(b.node);
-    });
     int64_t freed = 0;
-    for (const auto& e : all) {
+    for (const auto& [b, node] : ByBenefit(all)) {
       if (free_bytes + freed >= size_bytes) break;
-      victims->push_back(e.node);
-      freed += e.node->cached_bytes.load();
+      victims->push_back(node);
+      freed += node->cached_bytes.load();
     }
     return free_bytes + freed >= size_bytes;
   }
@@ -91,24 +101,18 @@ bool RecyclerCache::PlanEviction(double benefit, int64_t size_bytes,
   // the victims' average benefit exceeds the candidate's.
   auto git = groups_.find(SizeGroup(size_bytes));
   if (git == groups_.end()) return false;
-  std::vector<Entry> sorted = git->second;
-  std::sort(sorted.begin(), sorted.end(),
-            [this](const Entry& a, const Entry& b) {
-              return benefit_fn_(a.node) < benefit_fn_(b.node);
-            });
   int64_t freed = 0;
   double benefit_sum = 0;
   int count = 0;
-  for (const auto& e : sorted) {
-    double b = benefit_fn_(e.node);
+  for (const auto& [b, node] : ByBenefit(git->second)) {
     // (a) average benefit of the victim set must stay below the
     // candidate's benefit.
     if (count > 0 && (benefit_sum + b) / (count + 1) >= benefit) break;
     if (count == 0 && b >= benefit) break;
-    victims->push_back(e.node);
+    victims->push_back(node);
     benefit_sum += b;
     ++count;
-    freed += e.node->cached_bytes.load();
+    freed += node->cached_bytes.load();
     // (b) victims together large enough.
     if (free_bytes + freed >= size_bytes) return true;
   }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "recycler/graph.h"
@@ -70,6 +71,12 @@ class RecyclerCache {
   };
 
   static int SizeGroup(int64_t size_bytes);
+  /// `entries`' nodes in increasing benefit order, each with the benefit
+  /// it was sorted by. Every benefit is read once: other streams update
+  /// the inputs concurrently, and std::sort needs keys that stay put (a
+  /// comparator that re-reads them can run past the range).
+  std::vector<std::pair<double, RGNode*>> ByBenefit(
+      const std::vector<Entry>& entries) const;
   /// Selects victims for a candidate of (benefit, size); returns true if
   /// admission is possible. Victims are appended to `victims`.
   bool PlanEviction(double benefit, int64_t size_bytes,

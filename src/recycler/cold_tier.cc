@@ -488,7 +488,7 @@ void ColdTier::Drain() {
 }
 
 Status ColdTier::Load(const RGNode* node, TablePtr* out) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   auto it = live_.find(node);
   if (it == live_.end()) {
     auto pit = pending_by_node_.find(node);
@@ -500,15 +500,19 @@ Status ColdTier::Load(const RGNode* node, TablePtr* out) {
     }
     return Status::NotFound("no live cold-tier entry for node");
   }
+  SpillFile file;
+  RDB_RETURN_NOT_OK(OpenSpillFile(it->second->path, &file));
+  const std::string path = it->second->path;
+  lock.unlock();
   SpillFileMeta meta;
-  Status st = ReadSpillTable(it->second->path, &meta, out);
-  if (st.ok()) it->second->second_chance = true;
-  return st;
+  RDB_RETURN_NOT_OK(ReadSpillTable(std::move(file), path, &meta, out));
+  MarkLoaded(node);
+  return Status::OK();
 }
 
 Status ColdTier::LoadSlice(const RGNode* node, int filter_column,
                            const ColumnInterval& range, TablePtr* out) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   auto it = live_.find(node);
   if (it == live_.end()) {
     if (pending_by_node_.count(node) > 0) {
@@ -518,11 +522,21 @@ Status ColdTier::LoadSlice(const RGNode* node, int filter_column,
     }
     return Status::NotFound("no live cold-tier entry for node");
   }
+  SpillFile file;
+  RDB_RETURN_NOT_OK(OpenSpillFile(it->second->path, &file));
+  const std::string path = it->second->path;
+  lock.unlock();
   SpillFileMeta meta;
-  Status st =
-      ReadSpillTableFiltered(it->second->path, &meta, filter_column, range, out);
-  if (st.ok()) it->second->second_chance = true;
-  return st;
+  RDB_RETURN_NOT_OK(ReadSpillTableFiltered(std::move(file), path, &meta,
+                                           filter_column, range, out));
+  MarkLoaded(node);
+  return Status::OK();
+}
+
+void ColdTier::MarkLoaded(const RGNode* node) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = live_.find(node);
+  if (it != live_.end()) it->second->second_chance = true;
 }
 
 bool ColdTier::AdoptOrphan(const std::string& canon_key, const RGNode* node,

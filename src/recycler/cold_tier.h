@@ -210,14 +210,17 @@ class ColdTier {
   /// snapshot. NotFound when the node has no live entry (e.g. it was
   /// swept between the state check and the load); other errors mean a
   /// corrupt file — the caller should Remove(node) and treat it as a
-  /// miss.
+  /// miss. The file is opened under the tier mutex but read and decoded
+  /// after releasing it, so concurrent loads, spill commits and sweeps
+  /// do not queue behind one another's disk reads.
   Status Load(const RGNode* node, TablePtr* out);
 
   /// Like Load, but materializes only the rows whose value in column
   /// `filter_column` falls in `range` (ReadSpillTableFiltered: the
-  /// selection runs on the encoded image before any decode). Sets the
-  /// second-chance bit on success. The slice is a partial result and
-  /// must never be promoted to the hot tier or re-spilled by the caller.
+  /// selection runs on the encoded image before any decode). Reads
+  /// outside the tier mutex like Load and sets the second-chance bit on
+  /// success. The slice is a partial result and must never be promoted
+  /// to the hot tier or re-spilled by the caller.
   /// Fails recoverably for v1 files (no encoded image to filter) and
   /// for pending async spills (the caller falls back to the full
   /// in-memory snapshot).
@@ -325,6 +328,10 @@ class ColdTier {
   /// mu_.
   ClockIt AddOrphanLocked(const std::string& path, int64_t bytes,
                           SpillFileMeta meta, bool owned, int64_t admit_seq);
+
+  /// Sets the second-chance bit of `node`'s live entry after a load, if
+  /// the entry is still live. Takes mu_.
+  void MarkLoaded(const RGNode* node);
 
   /// Applies one manifest purge record to local state. Caller holds mu_.
   void ApplyPurgeLocked(const fleet::ManifestPurge& purge,

@@ -46,6 +46,11 @@ Status Catalog::AppendRows(const std::string& name, const Table& delta) {
     return Status::InvalidArgument("append schema mismatch for table " + name);
   }
   auto grown = MakeTable(base->schema());
+  // Exact capacity: appending the delta to a copy sized for the old rows
+  // would reallocate (and copy) every column to twice its size.
+  for (int c = 0; c < grown->num_columns(); ++c) {
+    grown->column(c)->Reserve(base->num_rows() + delta.num_rows());
+  }
   if (base->num_rows() > 0) {
     Batch old_rows;
     old_rows.num_rows = base->num_rows();

@@ -1,5 +1,7 @@
 #include "storage/column.h"
 
+#include <algorithm>
+
 namespace recycledb {
 
 namespace {
@@ -100,26 +102,38 @@ void ColumnVector::Append(const Datum& value) {
   RDB_UNREACHABLE("bad type");
 }
 
-void ColumnVector::AppendSelected(const ColumnVector& src,
-                                  const std::vector<int32_t>& sel) {
+template <typename Idx>
+void ColumnVector::Gather(const ColumnVector& src, const Idx* sel, int64_t n) {
   RDB_CHECK(src.type_ == type_);
   CheckMutable();
+  if (n == 0) return;
+  // Selection indexes are window-relative; on a view an index past the
+  // window would silently read the root column, so bound the whole
+  // selection once before gathering.
+  const auto [lo, hi] = std::minmax_element(sel, sel + n);
+  RDB_CHECK_MSG(*lo >= 0 && *hi < src.size(), "selection index out of bounds");
   const ColumnVector& sp = src.payload();
   const int64_t off = src.view_offset_;
-  const int64_t n = src.size();
   std::visit(
       [&](auto& dst) {
         using Vec = std::decay_t<decltype(dst)>;
-        const Vec& s = std::get<Vec>(sp.data_);
-        dst.reserve(dst.size() + sel.size());
-        for (int32_t i : sel) {
-          // Selection indexes are window-relative; on a view an index past
-          // the window would silently read the root column, so check.
-          RDB_CHECK_MSG(i >= 0 && i < n, "selection index out of bounds");
-          dst.push_back(s[off + i]);
-        }
+        const auto* s = std::get<Vec>(sp.data_).data() + off;
+        const size_t base = dst.size();
+        dst.resize(base + n);
+        auto* d = dst.data() + base;
+        for (int64_t i = 0; i < n; ++i) d[i] = s[sel[i]];
       },
       data_);
+}
+
+void ColumnVector::AppendSelected(const ColumnVector& src,
+                                  const std::vector<int32_t>& sel) {
+  Gather(src, sel.data(), static_cast<int64_t>(sel.size()));
+}
+
+void ColumnVector::AppendSelected(const ColumnVector& src, const int64_t* sel,
+                                  int64_t n) {
+  Gather(src, sel, n);
 }
 
 void ColumnVector::AppendRange(const ColumnVector& src, int64_t offset,
@@ -142,6 +156,20 @@ void ColumnVector::AppendRange(const ColumnVector& src, int64_t offset,
 void ColumnVector::Reserve(int64_t n) {
   CheckMutable();
   std::visit([n](auto& v) { v.reserve(n); }, data_);
+}
+
+void ColumnVector::ShrinkToFit() {
+  VisitStorage([](auto& v) { v.shrink_to_fit(); });
+}
+
+int64_t ColumnVector::SlackBytes() const {
+  if (is_view()) return 0;
+  return std::visit(
+      [](const auto& v) {
+        using T = typename std::decay_t<decltype(v)>::value_type;
+        return static_cast<int64_t>((v.capacity() - v.size()) * sizeof(T));
+      },
+      data_);
 }
 
 void ColumnVector::Clear() {
@@ -221,6 +249,55 @@ uint64_t ColumnVector::HashRow(int64_t row, uint64_t seed) const {
   RDB_UNREACHABLE("bad type");
 }
 
+void ColumnVector::HashRows(int64_t n, uint64_t* hashes) const {
+  RDB_CHECK_MSG(n >= 0 && n <= size(), "hash range out of bounds");
+  // Each case must reproduce HashRow's per-type mixing exactly.
+  switch (type_) {
+    case TypeId::kBool: {
+      const uint8_t* v = Raw<uint8_t>();
+      for (int64_t i = 0; i < n; ++i) {
+        hashes[i] = HashCombine(hashes[i], HashMix(uint64_t{v[i]} + 1));
+      }
+      return;
+    }
+    case TypeId::kInt32:
+    case TypeId::kDate: {
+      const int32_t* v = Raw<int32_t>();
+      for (int64_t i = 0; i < n; ++i) {
+        hashes[i] = HashCombine(
+            hashes[i],
+            HashMix(static_cast<uint64_t>(static_cast<int64_t>(v[i]))));
+      }
+      return;
+    }
+    case TypeId::kInt64: {
+      const int64_t* v = Raw<int64_t>();
+      for (int64_t i = 0; i < n; ++i) {
+        hashes[i] =
+            HashCombine(hashes[i], HashMix(static_cast<uint64_t>(v[i])));
+      }
+      return;
+    }
+    case TypeId::kDouble: {
+      const double* v = Raw<double>();
+      for (int64_t i = 0; i < n; ++i) {
+        uint64_t bits;
+        __builtin_memcpy(&bits, &v[i], sizeof(bits));
+        hashes[i] = HashCombine(hashes[i], HashMix(bits));
+      }
+      return;
+    }
+    case TypeId::kString: {
+      const std::string* v = Raw<std::string>();
+      for (int64_t i = 0; i < n; ++i) {
+        hashes[i] = HashCombine(hashes[i], HashString(v[i]));
+      }
+      return;
+    }
+  }
+  RDB_UNREACHABLE("bad type");
+}
+
 bool ColumnVector::RowEquals(int64_t a, const ColumnVector& other,
                              int64_t b) const {
   RDB_CHECK(type_ == other.type_);
@@ -250,23 +327,50 @@ namespace {
 template <typename D, typename T>
 void FoldRows(const T* data, int64_t from, int64_t to,
               std::vector<ZoneEntry>* blocks, bool* column_sorted) {
-  for (int64_t r = from; r < to; ++r) {
-    const D v = static_cast<D>(data[r]);
-    const int64_t b = r / kZoneMapBlockRows;
-    if (b >= static_cast<int64_t>(blocks->size())) {
-      blocks->push_back(ZoneEntry{Datum(v), Datum(v), true, true});
+  // Binds rows by reference when D == T (no per-row std::string copy);
+  // converts only kBool's uint8_t storage.
+  auto at = [data](int64_t i) -> decltype(auto) {
+    if constexpr (std::is_same_v<D, T>) {
+      return (data[i]);
     } else {
-      ZoneEntry& e = (*blocks)[b];
-      if (v < std::get<D>(e.min)) e.min = v;
-      if (v > std::get<D>(e.max)) e.max = v;
-      if (r % kZoneMapBlockRows != 0 && e.sorted &&
-          v < static_cast<D>(data[r - 1])) {
-        e.sorted = false;
+      return static_cast<D>(data[i]);
+    }
+  };
+  for (int64_t r = from; r < to;) {
+    const int64_t b = r / kZoneMapBlockRows;
+    const int64_t block_end = std::min(to, (b + 1) * kZoneMapBlockRows);
+    if (b >= static_cast<int64_t>(blocks->size())) {
+      blocks->push_back(ZoneEntry{Datum(at(r)), Datum(at(r)), true, true});
+    }
+    ZoneEntry& e = (*blocks)[b];
+    // One variant access per block; per-row updates stay sequential, so
+    // NaN behaves as with per-row Datum comparisons. Sortedness folds
+    // branch-free (unsorted data would mispredict half the rows).
+    bool block_sorted = e.sorted;
+    bool column = *column_sorted;
+    auto fold = [&](D& lo, D& hi) {
+      for (; r < block_end; ++r) {
+        const auto& v = at(r);
+        if (v < lo) lo = v;
+        if (v > hi) hi = v;
+        if (r > 0) {
+          const bool descends = v < at(r - 1);
+          column &= !descends;
+          if (r % kZoneMapBlockRows != 0) block_sorted &= !descends;
+        }
       }
+    };
+    if constexpr (std::is_same_v<D, std::string>) {
+      fold(std::get<D>(e.min), std::get<D>(e.max));  // in place, no copies
+    } else {
+      D lo = std::get<D>(e.min);
+      D hi = std::get<D>(e.max);
+      fold(lo, hi);
+      e.min = lo;
+      e.max = hi;
     }
-    if (r > 0 && *column_sorted && v < static_cast<D>(data[r - 1])) {
-      *column_sorted = false;
-    }
+    e.sorted = block_sorted;
+    *column_sorted = column;
   }
 }
 

@@ -92,8 +92,13 @@ class ColumnVector {
   /// Appends a boxed value (type-checked against the column type).
   void Append(const Datum& value);
 
-  /// Appends rows of `src` selected by `sel` (vectorized gather).
+  /// Appends rows of `src` selected by `sel` (vectorized gather). Aborts
+  /// unless every index lies inside `src`'s rows (checked once per call
+  /// on the selection's min/max).
   void AppendSelected(const ColumnVector& src, const std::vector<int32_t>& sel);
+  /// Same gather over `n` 64-bit row ids (hash-join build-side
+  /// selections).
+  void AppendSelected(const ColumnVector& src, const int64_t* sel, int64_t n);
 
   /// Appends the contiguous row range [offset, offset+count) of `src`.
   void AppendRange(const ColumnVector& src, int64_t offset, int64_t count);
@@ -102,6 +107,22 @@ class ColumnVector {
   void AppendAll(const ColumnVector& src) { AppendRange(src, 0, src.size()); }
 
   void Reserve(int64_t n);
+
+  /// Releases spare capacity of the owning storage (vector growth leaves
+  /// up to 2x slack), so ByteSize() reports the bytes actually held.
+  void ShrinkToFit();
+
+  /// Bytes of spare capacity in the owning storage (0 for views): what
+  /// ShrinkToFit would release, string payloads not counted.
+  int64_t SlackBytes() const;
+
+  /// Calls `fn(std::vector<T>& storage)` on the owning storage. Aborts on
+  /// views and shared sources, like Data<T>().
+  template <typename Fn>
+  void VisitStorage(Fn&& fn) {
+    CheckMutable();
+    std::visit(std::forward<Fn>(fn), data_);
+  }
 
   /// Empties the column. On a view this detaches the source and reverts to
   /// an empty owning column of the same type; aborts on a shared source.
@@ -112,8 +133,13 @@ class ColumnVector {
   /// nothing, but downstream materialization of it would cost this much).
   int64_t ByteSize() const;
 
-  /// Hashes row `row` into `seed` (used by hash join/aggregate).
+  /// Hashes row `row` into `seed`.
   uint64_t HashRow(int64_t row, uint64_t seed) const;
+
+  /// Batch form of HashRow: hashes[i] = HashRow(i, hashes[i]) for every
+  /// row i in [0, n), one typed loop (used by hash join/aggregate).
+  /// Aborts when n exceeds size().
+  void HashRows(int64_t n, uint64_t* hashes) const;
 
   /// True if rows a (in this) and b (in other) hold equal values.
   bool RowEquals(int64_t a, const ColumnVector& other, int64_t b) const;
@@ -126,6 +152,8 @@ class ColumnVector {
     return is_view() ? *view_src_ : *this;
   }
   int64_t OwnedSize() const;
+  template <typename Idx>
+  void Gather(const ColumnVector& src, const Idx* sel, int64_t n);
   void CheckMutable() const {
     RDB_CHECK_MSG(!is_view(), "mutating a view column");
     RDB_CHECK_MSG(!shared(), "mutating a shared column source");

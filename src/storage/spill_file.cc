@@ -376,16 +376,12 @@ Status ReadColumnsV2(const std::string& payload, const SpillFileMeta& meta,
   return Status::OK();
 }
 
-/// Opens `path`, validates magic/version, reads the header. On success
-/// `*f_out` is positioned at the first payload byte and `*sum` holds the
-/// running checksum over the header bytes.
-Status OpenAndReadHeader(const std::string& path, std::FILE** f_out,
-                         SpillFileMeta* meta, uint64_t* sum) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound(StrFormat("spill file %s cannot be opened",
-                                      path.c_str()));
-  }
+/// Validates magic/version and reads the header of the opened `f`
+/// (`path` names it in errors). On success `f` is positioned at the first
+/// payload byte and `*sum` holds the running checksum over the header
+/// bytes; on failure `f` is closed.
+Status ReadHeader(std::FILE* f, const std::string& path, SpillFileMeta* meta,
+                  uint64_t* sum) {
   char magic[4];
   unsigned char fixed[12];
   if (std::fread(magic, 1, 4, f) != 4 ||
@@ -426,7 +422,6 @@ Status OpenAndReadHeader(const std::string& path, std::FILE** f_out,
                                       st.message().c_str()));
   }
   *sum = Fnv1a(header.data(), header.size());
-  *f_out = f;
   return Status::OK();
 }
 
@@ -533,18 +528,36 @@ Status WriteSpillFile(const std::string& path, const Table& table,
 }
 
 Status ReadSpillMeta(const std::string& path, SpillFileMeta* meta) {
-  std::FILE* f = nullptr;
+  SpillFile file;
+  RDB_RETURN_NOT_OK(OpenSpillFile(path, &file));
+  std::FILE* f = file.release();
   uint64_t sum = 0;
-  RDB_RETURN_NOT_OK(OpenAndReadHeader(path, &f, meta, &sum));
+  RDB_RETURN_NOT_OK(ReadHeader(f, path, meta, &sum));
   std::fclose(f);
+  return Status::OK();
+}
+
+Status OpenSpillFile(const std::string& path, SpillFile* out) {
+  out->reset(std::fopen(path.c_str(), "rb"));
+  if (*out == nullptr) {
+    return Status::NotFound(StrFormat("spill file %s cannot be opened",
+                                      path.c_str()));
+  }
   return Status::OK();
 }
 
 Status ReadSpillTable(const std::string& path, SpillFileMeta* meta,
                       TablePtr* out) {
-  std::FILE* f = nullptr;
+  SpillFile file;
+  RDB_RETURN_NOT_OK(OpenSpillFile(path, &file));
+  return ReadSpillTable(std::move(file), path, meta, out);
+}
+
+Status ReadSpillTable(SpillFile file, const std::string& path,
+                      SpillFileMeta* meta, TablePtr* out) {
+  std::FILE* f = file.release();
   uint64_t sum = 0;
-  RDB_RETURN_NOT_OK(OpenAndReadHeader(path, &f, meta, &sum));
+  RDB_RETURN_NOT_OK(ReadHeader(f, path, meta, &sum));
   // Payload capacity = bytes between the header and the 8-byte checksum.
   const long payload_start = std::ftell(f);
   int64_t payload_bytes = 0;
@@ -620,9 +633,18 @@ Status ReadSpillTable(const std::string& path, SpillFileMeta* meta,
 Status ReadSpillTableFiltered(const std::string& path, SpillFileMeta* meta,
                               int filter_column, const ColumnInterval& range,
                               TablePtr* out) {
-  std::FILE* f = nullptr;
+  SpillFile file;
+  RDB_RETURN_NOT_OK(OpenSpillFile(path, &file));
+  return ReadSpillTableFiltered(std::move(file), path, meta, filter_column,
+                                range, out);
+}
+
+Status ReadSpillTableFiltered(SpillFile file, const std::string& path,
+                              SpillFileMeta* meta, int filter_column,
+                              const ColumnInterval& range, TablePtr* out) {
+  std::FILE* f = file.release();
   uint64_t sum = 0;
-  RDB_RETURN_NOT_OK(OpenAndReadHeader(path, &f, meta, &sum));
+  RDB_RETURN_NOT_OK(ReadHeader(f, path, meta, &sum));
   if (meta->format_version < 2) {
     // v1 stores raw images only; there is no encoded form to filter on.
     // Recoverable: the caller falls back to ReadSpillTable.

@@ -31,6 +31,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -130,5 +132,28 @@ Status ReadSpillTable(const std::string& path, SpillFileMeta* meta,
 Status ReadSpillTableFiltered(const std::string& path, SpillFileMeta* meta,
                               int filter_column, const ColumnInterval& range,
                               TablePtr* out);
+
+/// Closes a spill file opened by OpenSpillFile.
+struct SpillFileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+
+/// A spill file open for reading. The handle keeps reading the file it
+/// was opened on, even if its path is unlinked or renamed over
+/// afterwards, so a caller can open under a lock and read after
+/// releasing it.
+using SpillFile = std::unique_ptr<std::FILE, SpillFileCloser>;
+
+/// Opens `path` for the handle overloads below; NotFound when it cannot
+/// be opened.
+Status OpenSpillFile(const std::string& path, SpillFile* out);
+
+/// ReadSpillTable / ReadSpillTableFiltered over an opened `file`, which
+/// they consume; `path` only names the file in error messages.
+Status ReadSpillTable(SpillFile file, const std::string& path,
+                      SpillFileMeta* meta, TablePtr* out);
+Status ReadSpillTableFiltered(SpillFile file, const std::string& path,
+                              SpillFileMeta* meta, int filter_column,
+                              const ColumnInterval& range, TablePtr* out);
 
 }  // namespace recycledb

@@ -63,6 +63,16 @@ void Table::AppendRow(const std::vector<Datum>& row) {
   ++num_rows_;
 }
 
+void Table::ShrinkToFit() {
+  for (const auto& c : columns_) c->ShrinkToFit();
+}
+
+int64_t Table::SlackBytes() const {
+  int64_t total = 0;
+  for (const auto& c : columns_) total += c->SlackBytes();
+  return total;
+}
+
 int64_t Table::ByteSize() const {
   int64_t total = 0;
   for (const auto& c : columns_) total += c->ByteSize();

@@ -96,6 +96,12 @@ class Table {
   /// Boxed cell access (slow path).
   Datum Get(int64_t row, int col) const { return columns_[col]->GetDatum(row); }
 
+  /// Releases every column's spare capacity (see ColumnVector::ShrinkToFit).
+  void ShrinkToFit();
+
+  /// Sum of the columns' ColumnVector::SlackBytes.
+  int64_t SlackBytes() const;
+
   /// Total heap footprint of all columns in bytes.
   int64_t ByteSize() const;
 

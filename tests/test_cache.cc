@@ -155,6 +155,35 @@ TEST_F(CacheTest, LruTouchProtectsEntry) {
   EXPECT_EQ(evicted[0], b);
 }
 
+TEST_F(CacheTest, EvictionPlanningReadsEachBenefitOnce) {
+  // Benefits are atomics other streams update while one stream plans an
+  // eviction. Model that with a benefit that changes on every read: the
+  // planner must read each once and sort by those reads (re-reading them
+  // inside std::sort's comparator is undefined behaviour and can run
+  // past the range).
+  constexpr int kEntries = 200;
+  RecyclerCache cache(kEntries * 4000, BenefitFn());
+  std::vector<RGNode*> evicted;
+  for (int i = 0; i < kEntries; ++i) {
+    ASSERT_TRUE(cache.Admit(MakeNode(4000, 0.0), 0.0, &evicted));
+  }
+  uint64_t state = 42;
+  int64_t reads = 0;
+  RecyclerCache drifting(kEntries * 4000, [&](const RGNode*) {
+    ++reads;
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<double>(state >> 11) * 0x1.0p-53;
+  });
+  for (RGNode* n : cache.Entries()) {
+    ASSERT_TRUE(drifting.Admit(n, 0.0, &evicted));
+  }
+  ASSERT_EQ(reads, 0);  // admitted without eviction: no benefit read
+  EXPECT_TRUE(drifting.Admit(MakeNode(4000, 2.0), 2.0, &evicted));
+  EXPECT_EQ(reads, kEntries);
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(drifting.num_entries(), kEntries);
+}
+
 TEST_F(CacheTest, AdmitAllPolicyEvictsAcrossGroups) {
   RecyclerCache cache(10000, BenefitFn(), CachePolicy::kAdmitAll);
   std::vector<RGNode*> evicted;

@@ -180,6 +180,53 @@ TEST(SpillFile, EmptyResultRoundTrips) {
   EXPECT_EQ(back->schema(), t->schema());
 }
 
+TEST(SpillFile, OpenedHandleReadsTheFileItOpened) {
+  // The cold tier opens under its mutex and reads after releasing it; a
+  // re-spill (rename over the path) or a sweep (unlink) in between must
+  // not change what the open handle reads.
+  TempSpillDir dir;
+  TablePtr first = MakeTestTable(400);
+  TablePtr second = MakeTestTable(90);
+  SpillFileMeta meta;
+  meta.canon_key = "k";
+  meta.column_names = first->schema().Names();
+  meta.column_types = {TypeId::kInt32, TypeId::kDouble};
+  meta.num_rows = first->num_rows();
+  const std::string path = dir.path() + "/pinned.spill";
+  ASSERT_TRUE(WriteSpillFile(path, *first, meta).ok());
+
+  SpillFile full;
+  SpillFile sliced;
+  ASSERT_TRUE(OpenSpillFile(path, &full).ok());
+  ASSERT_TRUE(OpenSpillFile(path, &sliced).ok());
+  meta.num_rows = second->num_rows();
+  ASSERT_TRUE(WriteSpillFile(path, *second, meta).ok());
+
+  SpillFileMeta m2;
+  TablePtr back;
+  ASSERT_TRUE(ReadSpillTable(std::move(full), path, &m2, &back).ok());
+  EXPECT_EQ(RowMultiset(*back), RowMultiset(*first));
+  ASSERT_TRUE(ReadSpillTable(path, &m2, &back).ok());
+  EXPECT_EQ(RowMultiset(*back), RowMultiset(*second));
+
+  ASSERT_TRUE(fs::remove(path));
+  ColumnInterval range;
+  range.lo.unbounded = false;
+  range.lo.value = 5000.0;
+  range.lo.inclusive = true;
+  ASSERT_TRUE(ReadSpillTableFiltered(std::move(sliced), path, &m2,
+                                     /*filter_column=*/1, range, &back)
+                  .ok());
+  int64_t expected = 0;
+  for (int64_t r = 0; r < first->num_rows(); ++r) {
+    expected += std::get<double>(first->Get(r, 1)) >= 5000.0 ? 1 : 0;
+  }
+  EXPECT_GT(expected, 0);
+  EXPECT_EQ(back->num_rows(), expected);
+  SpillFile gone;
+  EXPECT_EQ(OpenSpillFile(path, &gone).code(), StatusCode::kNotFound);
+}
+
 TEST(SpillFile, TruncatedFileRejectedRecoverably) {
   TempSpillDir dir;
   TablePtr t = MakeTestTable(500);

@@ -197,6 +197,85 @@ TEST(ZoneMap, MaintainedUnderAppendBatch) {
   EXPECT_EQ(std::get<int64_t>(zm.block(2).max), 2999);
 }
 
+// Zone maps folded a batch (or a partial block) at a time must equal a
+// sequential per-row fold under the column type's `<`, including NaN
+// (never replaces a bound, sticks once it is the block's first value),
+// signed zeros, strings and bools.
+TEST(ZoneMap, BatchFoldMatchesPerRowReference) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Datum> dbl, str, bln;
+  Rng rng(11);
+  for (int i = 0; i < 5000; ++i) {
+    const int64_t pick = rng.Uniform(0, 9);
+    dbl.push_back(i % 1024 == 0 && i % 2048 == 0 ? nan
+                  : pick == 0                    ? nan
+                  : pick == 1                    ? -0.0
+                  : pick == 2                    ? 0.0
+                                                 : rng.NextDouble() - 0.5);
+    str.push_back(std::string(1 + (5000 - i) % 7, 'a' + (i * 7) % 26));
+    bln.push_back(pick < 5);
+  }
+  auto reference = [](const std::vector<Datum>& values) {
+    std::vector<ZoneEntry> blocks;
+    bool sorted = true;
+    for (size_t r = 0; r < values.size(); ++r) {
+      const Datum& v = values[r];
+      auto less = [](const Datum& a, const Datum& b) {
+        if (a.index() == 4) return std::get<double>(a) < std::get<double>(b);
+        if (a.index() == 5) {
+          return std::get<std::string>(a) < std::get<std::string>(b);
+        }
+        return std::get<bool>(a) < std::get<bool>(b);
+      };
+      if (r % kZoneMapBlockRows == 0) {
+        blocks.push_back({v, v, true, true});
+      } else {
+        ZoneEntry& e = blocks.back();
+        if (less(v, e.min)) e.min = v;
+        if (less(e.max, v)) e.max = v;
+        if (less(v, values[r - 1])) e.sorted = false;
+      }
+      if (r > 0 && less(v, values[r - 1])) sorted = false;
+    }
+    return std::make_pair(blocks, sorted);
+  };
+  auto same = [](const Datum& a, const Datum& b) {
+    if (a.index() == 4 && b.index() == 4) {
+      const double x = std::get<double>(a), y = std::get<double>(b);
+      return std::memcmp(&x, &y, sizeof(x)) == 0;
+    }
+    return a == b;
+  };
+  for (const auto* values : {&dbl, &str, &bln}) {
+    const TypeId type = DatumType((*values)[0]);
+    TablePtr per_row = MakeTable(Schema({{"c", type}}));
+    TablePtr batched = MakeTable(Schema({{"c", type}}));
+    for (const Datum& v : *values) per_row->AppendRow({v});
+    for (size_t pos = 0; pos < values->size();) {
+      const size_t n = std::min<size_t>(rng.Uniform(1, 1500),
+                                        values->size() - pos);
+      TablePtr chunk = MakeTable(Schema({{"c", type}}));
+      for (size_t i = pos; i < pos + n; ++i) chunk->AppendRow({(*values)[i]});
+      Batch b;
+      b.columns.push_back(chunk->column(0));
+      b.num_rows = static_cast<int64_t>(n);
+      batched->AppendBatch(b);
+      pos += n;
+    }
+    const auto [want, want_sorted] = reference(*values);
+    for (const Table* t : {per_row.get(), batched.get()}) {
+      const ZoneMap& zm = t->zone_map(0);
+      ASSERT_EQ(zm.num_blocks(), static_cast<int64_t>(want.size()));
+      EXPECT_EQ(zm.sorted(), want_sorted);
+      for (int64_t b = 0; b < zm.num_blocks(); ++b) {
+        EXPECT_TRUE(same(zm.block(b).min, want[b].min)) << TypeName(type) << b;
+        EXPECT_TRUE(same(zm.block(b).max, want[b].max)) << TypeName(type) << b;
+        EXPECT_EQ(zm.block(b).sorted, want[b].sorted) << TypeName(type) << b;
+      }
+    }
+  }
+}
+
 TEST(ZoneMap, MayOverlapIsConservative) {
   Schema s({{"k", TypeId::kInt32}});
   TablePtr t = MakeTable(s);
