@@ -67,11 +67,7 @@ Status CheckExprType(const Expr& expr, const Schema& input, TypeId* out) {
       if (!IsNumeric(l) || !IsNumeric(r)) {
         return ExprError(expr, "arithmetic on non-numeric operand");
       }
-      if (l == TypeId::kDouble || r == TypeId::kDouble) {
-        return ok(TypeId::kDouble);
-      }
-      if (l == TypeId::kInt64 || r == TypeId::kInt64) return ok(TypeId::kInt64);
-      return ok(TypeId::kInt32);
+      return ok(ArithResultType(l, r));
     }
     case ExprKind::kFunc: {
       const std::string& fn = expr.func_name();
@@ -115,14 +111,10 @@ Status CheckExprType(const Expr& expr, const Schema& input, TypeId* out) {
       }
       RDB_RETURN_NOT_OK(CheckExprType(*expr.children()[1], input, &t));
       RDB_RETURN_NOT_OK(CheckExprType(*expr.children()[2], input, &e));
-      if (t == e) return ok(t);
-      if (!IsNumeric(t) || !IsNumeric(e)) {
+      if (t != e && (!IsNumeric(t) || !IsNumeric(e))) {
         return ExprError(expr, "CASE branch type mismatch");
       }
-      if (t == TypeId::kDouble || e == TypeId::kDouble) {
-        return ok(TypeId::kDouble);
-      }
-      return ok(TypeId::kInt64);
+      return ok(CaseResultType(t, e));
     }
     case ExprKind::kInList: {
       TypeId t;

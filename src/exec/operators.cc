@@ -147,27 +147,27 @@ double FunctionScanOp::Progress() const {
 // FilterOp
 // ---------------------------------------------------------------------------
 
-FilterOp::FilterOp(Schema output_schema, OperatorPtr child, ExprPtr predicate)
+FilterOp::FilterOp(Schema output_schema, OperatorPtr child,
+                   const ExprPtr& predicate)
     : Operator(std::move(output_schema)),
       child_(std::move(child)),
-      predicate_(std::move(predicate)) {}
+      predicate_(*predicate, child_->output_schema()) {}
 
 bool FilterOp::Next(Batch* out) {
   Batch in;
   while (child_->NextTimed(&in)) {
-    std::vector<int32_t> sel =
-        predicate_->EvalSelection(in, child_->output_schema());
-    if (sel.empty()) continue;
-    if (static_cast<int64_t>(sel.size()) == in.num_rows) {
+    predicate_.Select(in, &sel_);
+    if (sel_.empty()) continue;
+    if (static_cast<int64_t>(sel_.size()) == in.num_rows) {
       // Every row passed: forward the input batch untouched (zero copy).
       *out = std::move(in);
       return true;
     }
     InitBatch(output_schema_, out);
     for (size_t c = 0; c < in.columns.size(); ++c) {
-      out->columns[c]->AppendSelected(*in.columns[c], sel);
+      out->columns[c]->AppendSelected(*in.columns[c], sel_);
     }
-    out->num_rows = static_cast<int64_t>(sel.size());
+    out->num_rows = static_cast<int64_t>(sel_.size());
     return true;
   }
   return false;
@@ -178,20 +178,23 @@ bool FilterOp::Next(Batch* out) {
 // ---------------------------------------------------------------------------
 
 ProjectOp::ProjectOp(Schema output_schema, OperatorPtr child,
-                     std::vector<ProjItem> items)
-    : Operator(std::move(output_schema)),
-      child_(std::move(child)),
-      items_(std::move(items)) {}
+                     const std::vector<ProjItem>& items)
+    : Operator(std::move(output_schema)), child_(std::move(child)) {
+  items_.reserve(items.size());
+  for (const ProjItem& item : items) {
+    items_.emplace_back(*item.expr, child_->output_schema());
+  }
+}
 
 bool ProjectOp::Next(Batch* out) {
   Batch in;
   if (!child_->NextTimed(&in)) return false;
   out->Clear();
   out->columns.reserve(items_.size());
-  for (const auto& item : items_) {
-    // Bare kColumnRef items forward the input column untouched (Eval
-    // returns the batch's ColumnPtr, view or owned, without copying).
-    out->columns.push_back(item.expr->Eval(in, child_->output_schema()));
+  for (ExprProgram& item : items_) {
+    // Bare column refs forward the input column untouched (view or owned,
+    // without copying); other items yield freshly owned columns.
+    out->columns.push_back(item.Eval(in));
   }
   out->num_rows = in.num_rows;
   return true;
@@ -562,7 +565,8 @@ HashAggOp::HashAggOp(Schema output_schema, OperatorPtr child,
       aggs_(std::move(aggs)) {
   const Schema& in = child_->output_schema();
   for (const auto& g : group_by_) group_idx_.push_back(in.IndexOfChecked(g));
-  for (const auto& a : aggs_) agg_arg_types_.push_back(a.arg->DeduceType(in));
+  agg_args_.reserve(aggs_.size());
+  for (const auto& a : aggs_) agg_args_.emplace_back(*a.arg, in);
 }
 
 void HashAggOp::Open() {
@@ -652,7 +656,7 @@ void HashAggOp::Accumulate(size_t agg, const ColumnVector& arg, int64_t n) {
       return;
     case AggFunc::kSum:
     case AggFunc::kAvg: {
-      if (agg_arg_types_[agg] == TypeId::kDouble) {
+      if (agg_args_[agg].type() == TypeId::kDouble) {
         const double* v = arg.Raw<double>();
         // Integral SUM output over a double argument stays 0 (isum).
         if (!st.double_sum) return;
@@ -671,7 +675,7 @@ void HashAggOp::Accumulate(size_t agg, const ColumnVector& arg, int64_t n) {
           for (int64_t r = 0; r < n; ++r) sum[group[r]] += v[r];
         }
       };
-      if (agg_arg_types_[agg] == TypeId::kInt64) {
+      if (agg_args_[agg].type() == TypeId::kInt64) {
         fold(arg.Raw<int64_t>());
       } else {
         fold(arg.Raw<int32_t>());
@@ -701,7 +705,6 @@ void HashAggOp::Accumulate(size_t agg, const ColumnVector& arg, int64_t n) {
 }
 
 void HashAggOp::Consume() {
-  const Schema& in = child_->output_schema();
   const bool global = group_by_.empty();
   group_keys_.clear();
   for (size_t k = 0; k < group_by_.size(); ++k) {
@@ -726,7 +729,7 @@ void HashAggOp::Consume() {
         break;
       case AggFunc::kMin:
       case AggFunc::kMax:
-        st.extreme.emplace(agg_arg_types_[a]);
+        st.extreme.emplace(agg_args_[a].type());
         break;
       case AggFunc::kCount:
         break;
@@ -748,7 +751,7 @@ void HashAggOp::Consume() {
     for (size_t a = 0; a < aggs_.size(); ++a) {
       args[a] = aggs_[a].fn == AggFunc::kCount
                     ? nullptr
-                    : aggs_[a].arg->Eval(batch, in);
+                    : agg_args_[a].Eval(batch);
     }
     if (global) {
       batch_groups_.assign(n, 0);

@@ -7,6 +7,7 @@
 #include "exec/operator.h"
 #include "exec/scratch.h"
 #include "expr/aggregate.h"
+#include "expr/program.h"
 #include "plan/table_function.h"
 
 namespace recycledb {
@@ -76,10 +77,11 @@ class FunctionScanOp : public Operator {
   int64_t pos_ = 0;
 };
 
-/// Filter: evaluates a predicate and gathers the selected rows.
+/// Filter: evaluates a predicate (compiled once) and gathers the selected
+/// rows; a batch whose rows all pass is forwarded untouched.
 class FilterOp : public Operator {
  public:
-  FilterOp(Schema output_schema, OperatorPtr child, ExprPtr predicate);
+  FilterOp(Schema output_schema, OperatorPtr child, const ExprPtr& predicate);
 
   void Open() override { child_->Open(); }
   bool Next(Batch* out) override;
@@ -88,14 +90,15 @@ class FilterOp : public Operator {
 
  private:
   OperatorPtr child_;
-  ExprPtr predicate_;
+  ExprProgram predicate_;
+  std::vector<int32_t> sel_;  // passing rows of the current batch
 };
 
 /// Project: computes expressions into a new column layout.
 class ProjectOp : public Operator {
  public:
   ProjectOp(Schema output_schema, OperatorPtr child,
-            std::vector<ProjItem> items);
+            const std::vector<ProjItem>& items);
 
   void Open() override { child_->Open(); }
   bool Next(Batch* out) override;
@@ -104,7 +107,7 @@ class ProjectOp : public Operator {
 
  private:
   OperatorPtr child_;
-  std::vector<ProjItem> items_;
+  std::vector<ExprProgram> items_;  // one compiled program per output column
 };
 
 /// Limit: passes through the first N rows.
@@ -233,7 +236,7 @@ class HashAggOp : public Operator {
   std::vector<std::string> group_by_;
   std::vector<AggItem> aggs_;
   std::vector<int> group_idx_;              // group column indexes in child
-  std::vector<TypeId> agg_arg_types_;
+  std::vector<ExprProgram> agg_args_;       // compiled aggregate arguments
 
   std::vector<ScratchColumn> group_keys_;   // one row per group
   ScratchVector<uint64_t> group_hashes_;

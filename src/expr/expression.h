@@ -1,8 +1,10 @@
-// Scalar expression IR with a vectorized interpreter.
+// Scalar expression IR.
 //
 // Expressions are the parameters of Select/Project plan nodes; the recycler
 // matches them structurally via Fingerprint() under a query<->graph column
-// name mapping (see plan/fingerprint and recycler/matching).
+// name mapping (see plan/fingerprint and recycler/matching). Operators
+// evaluate them through ExprProgram (expr/program.h), compiled once per
+// operator; expr/scalar.h holds the value semantics.
 #pragma once
 
 #include <map>
@@ -49,8 +51,8 @@ enum class LikeKind : uint8_t { kContains, kPrefix, kSuffix, kNotContains };
 
 /// An immutable scalar expression tree.
 ///
-/// Build with the static factory functions; evaluate against a Batch with
-/// Eval() after checking/deducing types with DeduceType().
+/// Build with the static factory functions; evaluate by compiling an
+/// ExprProgram against the input schema.
 class Expr : public std::enable_shared_from_this<Expr> {
  public:
   // ---- factories -----------------------------------------------------
@@ -130,16 +132,6 @@ class Expr : public std::enable_shared_from_this<Expr> {
   /// the canonical matching form.
   std::string DisplayString() const;
 
-  // ---- evaluation -----------------------------------------------------
-  /// Vectorized evaluation over a batch laid out per `input`.
-  /// Returns a column of DeduceType(input) with batch.num_rows rows.
-  ColumnPtr Eval(const Batch& batch, const Schema& input) const;
-
-  /// Evaluates a predicate and returns the selected row indexes.
-  /// Expression must deduce to kBool.
-  std::vector<int32_t> EvalSelection(const Batch& batch,
-                                     const Schema& input) const;
-
  private:
   Expr() = default;
 
@@ -153,6 +145,15 @@ class Expr : public std::enable_shared_from_this<Expr> {
   std::vector<Datum> in_values_;
   std::vector<ExprPtr> children_;
 };
+
+/// Result type of arithmetic over numeric operands: double if either is
+/// double, else int64 if either is int64, else int32 (dates read as int32).
+TypeId ArithResultType(TypeId l, TypeId r);
+
+/// Result type of CASE branches typed `then_type` and `else_type`: the
+/// shared type when equal, else (numeric branches) double if either is
+/// double, else int64.
+TypeId CaseResultType(TypeId then_type, TypeId else_type);
 
 /// Splits a predicate into its top-level AND conjuncts.
 /// Used by the tuple-subsumption rule (cached conjunct-subset detection).

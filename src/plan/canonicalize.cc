@@ -6,6 +6,7 @@
 
 #include "common/interval.h"
 #include "common/macros.h"
+#include "expr/scalar.h"
 
 namespace recycledb {
 
@@ -61,113 +62,41 @@ CompareOp NegateOp(CompareOp op) {
   RDB_UNREACHABLE("bad compare op");
 }
 
-/// Constant-folds a comparison of two literals, mirroring Eval exactly:
-/// strings compare lexicographically, everything else through double
-/// (bool as 0/1). Returns nullptr when the operands are not comparable
-/// (NULL involved, or string vs non-string — validation rejects those).
+/// Constant-folds a comparison of two literals under the kernels' rules
+/// (expr/scalar.h): strings compare lexicographically, everything else
+/// through double (bool as 0/1). Returns nullptr when the operands are not
+/// comparable (NULL involved, or string vs non-string — validation rejects
+/// those).
 ExprPtr FoldCompare(CompareOp op, const Datum& a, const Datum& b) {
   if (a.index() == 0 || b.index() == 0) return nullptr;
   bool sa = a.index() == 5, sb = b.index() == 5;
   if (sa != sb) return nullptr;
-  int c;
   if (sa) {
-    c = DatumCompare(a, b);
-  } else {
-    double da = DatumAsDouble(a), db = DatumAsDouble(b);
-    c = da < db ? -1 : (da > db ? 1 : 0);
+    return BoolLiteral(scalar::Compare(op, std::get<std::string>(a),
+                                       std::get<std::string>(b)));
   }
-  bool v = false;
-  switch (op) {
-    case CompareOp::kEq:
-      v = c == 0;
-      break;
-    case CompareOp::kNe:
-      v = c != 0;
-      break;
-    case CompareOp::kLt:
-      v = c < 0;
-      break;
-    case CompareOp::kLe:
-      v = c <= 0;
-      break;
-    case CompareOp::kGt:
-      v = c > 0;
-      break;
-    case CompareOp::kGe:
-      v = c >= 0;
-      break;
-  }
-  return BoolLiteral(v);
+  return BoolLiteral(scalar::Compare(op, DatumAsDouble(a), DatumAsDouble(b)));
 }
 
-/// Constant-folds an arithmetic node over two literals with Eval's exact
-/// type promotion (double > int64 > int32) and division-by-zero-yields-0
-/// rule. Returns nullptr for non-numeric operands.
+/// Constant-folds an arithmetic node over two literals with the kernels'
+/// type promotion (ArithResultType) and value rules (expr/scalar.h:
+/// wrapping integers, x / 0 = 0, MIN / -1 = MIN). Returns nullptr for
+/// non-numeric operands.
 ExprPtr FoldArith(ArithOp op, const Datum& a, const Datum& b) {
   TypeId lt = DatumType(a), rt = DatumType(b);
   if (!IsNumeric(lt) || !IsNumeric(rt)) return nullptr;
-  if (lt == TypeId::kDouble || rt == TypeId::kDouble) {
-    double x = DatumAsDouble(a), y = DatumAsDouble(b), r = 0;
-    switch (op) {
-      case ArithOp::kAdd:
-        r = x + y;
-        break;
-      case ArithOp::kSub:
-        r = x - y;
-        break;
-      case ArithOp::kMul:
-        r = x * y;
-        break;
-      case ArithOp::kDiv:
-        r = y == 0 ? 0 : x / y;
-        break;
-    }
-    return Expr::Literal(r);
+  switch (ArithResultType(lt, rt)) {
+    case TypeId::kDouble:
+      return Expr::Literal(
+          scalar::Arith(op, DatumAsDouble(a), DatumAsDouble(b)));
+    case TypeId::kInt64:
+      return Expr::Literal(
+          scalar::Arith(op, DatumAsInt64(a), DatumAsInt64(b)));
+    default:
+      return Expr::Literal(scalar::Arith(
+          op, static_cast<int32_t>(DatumAsInt64(a)),
+          static_cast<int32_t>(DatumAsInt64(b))));
   }
-  if (lt == TypeId::kInt64 || rt == TypeId::kInt64) {
-    int64_t x = DatumAsInt64(a), y = DatumAsInt64(b), r = 0;
-    switch (op) {
-      case ArithOp::kAdd:
-        r = static_cast<int64_t>(static_cast<uint64_t>(x) +
-                                 static_cast<uint64_t>(y));
-        break;
-      case ArithOp::kSub:
-        r = static_cast<int64_t>(static_cast<uint64_t>(x) -
-                                 static_cast<uint64_t>(y));
-        break;
-      case ArithOp::kMul:
-        r = static_cast<int64_t>(static_cast<uint64_t>(x) *
-                                 static_cast<uint64_t>(y));
-        break;
-      case ArithOp::kDiv:
-        // INT64_MIN / -1 wraps to INT64_MIN on the hardware Eval runs on.
-        r = y == 0 ? 0
-                   : (x == INT64_MIN && y == -1 ? INT64_MIN : x / y);
-        break;
-    }
-    return Expr::Literal(r);
-  }
-  // int32: Eval truncates operands to int32 and operates in int32; fold
-  // through int64 so overflow wraps deterministically instead of being UB
-  // in our own code.
-  int32_t x = static_cast<int32_t>(DatumAsInt64(a));
-  int32_t y = static_cast<int32_t>(DatumAsInt64(b));
-  int64_t wide = 0;
-  switch (op) {
-    case ArithOp::kAdd:
-      wide = static_cast<int64_t>(x) + y;
-      break;
-    case ArithOp::kSub:
-      wide = static_cast<int64_t>(x) - y;
-      break;
-    case ArithOp::kMul:
-      wide = static_cast<int64_t>(x) * y;
-      break;
-    case ArithOp::kDiv:
-      wide = y == 0 ? 0 : static_cast<int64_t>(x) / y;
-      break;
-  }
-  return Expr::Literal(static_cast<int32_t>(wide));
 }
 
 /// Flattens a same-operator AND/OR subtree into its operand list.

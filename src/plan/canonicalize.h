@@ -5,8 +5,9 @@
 //
 // Rules (documented with examples in DESIGN.md "SQL front-end &
 // normalization"):
-//   - constant folding matching Eval semantics exactly (type promotion,
-//     division-by-zero-yields-0, numeric comparison through double)
+//   - constant folding with the kernels' rules (expr/scalar.h: type
+//     promotion, wrapping integers, division-by-zero-yields-0, MIN / -1
+//     = MIN, numeric comparison through double)
 //   - comparison normalization: `5 < x` becomes `x > 5`
 //   - AND/OR flattening, conjunct deduplication and deterministic
 //     (fingerprint-sorted) ordering, TRUE/FALSE simplification

@@ -1,5 +1,5 @@
 // Tests for the canonicalizing rewrite pass: expression rules (constant
-// folding that mirrors Eval, comparison normalization, NOT elimination,
+// folding that mirrors the kernels, comparison normalization, NOT elimination,
 // AND/OR flattening with deterministic ordering, per-column range
 // merging, IN-list normalization), plan rules (Select merging and
 // pushdown, identity-Project elimination, Limit collapsing), idempotence
@@ -44,7 +44,7 @@ TEST(CanonicalizeExprTest, FoldsArithmeticLikeEval) {
   EXPECT_EQ(CanonFp(Expr::Arith(ArithOp::kAdd, Expr::Literal(2000),
                                 Expr::Literal(10))),
             Fp(Expr::Literal(2010)));
-  // Division by zero yields 0 in every numeric type (Eval's rule).
+  // Division by zero yields 0 in every numeric type (expr/scalar.h).
   EXPECT_EQ(CanonFp(Expr::Arith(ArithOp::kDiv, Expr::Literal(7.0),
                                 Expr::Literal(0.0))),
             Fp(Expr::Literal(0.0)));
@@ -67,7 +67,7 @@ TEST(CanonicalizeExprTest, FoldsArithmeticLikeEval) {
 TEST(CanonicalizeExprTest, FoldsComparisonsThroughDouble) {
   EXPECT_EQ(CanonFp(Expr::Lt(Expr::Literal(1), Expr::Literal(2))),
             Fp(Expr::Literal(true)));
-  // Numeric comparison crosses int/double exactly as Eval does.
+  // Numeric comparison crosses int/double exactly as the kernels do.
   EXPECT_EQ(CanonFp(Expr::Eq(Expr::Literal(2), Expr::Literal(2.0))),
             Fp(Expr::Literal(true)));
   EXPECT_EQ(CanonFp(Expr::Eq(Expr::Literal(std::string("a")),

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -200,6 +201,66 @@ TEST(SqlExecution, SessionStatsCountSqlQueries) {
   SessionStats stats = session->stats();
   EXPECT_EQ(stats.queries, 2);
   EXPECT_EQ(stats.errors, 1);
+}
+
+/// One table `t` holding int32 `a`, int64 `b` and double `d`.
+std::unique_ptr<Database> OpenEdgeValueDb() {
+  Schema schema({{"a", TypeId::kInt32},
+                 {"b", TypeId::kInt64},
+                 {"d", TypeId::kDouble}});
+  TablePtr t = MakeTable(schema);
+  t->AppendRow({std::numeric_limits<int32_t>::min(),
+                std::numeric_limits<int64_t>::min(), 1.2});
+  t->AppendRow({int32_t{6}, int64_t{6}, 1.5});
+  t->AppendRow({int32_t{-9}, int64_t{-9}, 1.9});
+  std::unique_ptr<Database> db = Database::OpenOrDie(DatabaseOptions{});
+  EXPECT_TRUE(db->CreateTable("t", t).ok());
+  return db;
+}
+
+TEST(SqlExecution, IntegerMinDividedByMinusOneWrapsInsteadOfTrapping) {
+  auto db = OpenEdgeValueDb();
+  Result r = db->Sql("SELECT a / -1 AS x, b / -1 AS y FROM t");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.table()->num_rows(), 3);
+  EXPECT_EQ(r.table()->Get(0, 0), Datum(std::numeric_limits<int32_t>::min()));
+  EXPECT_EQ(r.table()->Get(0, 1), Datum(std::numeric_limits<int64_t>::min()));
+  EXPECT_EQ(r.table()->Get(1, 0), Datum(int32_t{-6}));
+  // The same rule inside a WHERE clause: MIN / -1 is MIN, below zero.
+  Result w = db->Sql("SELECT a FROM t WHERE a / -1 < 0");
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  ASSERT_EQ(w.table()->num_rows(), 2);
+  EXPECT_EQ(w.table()->Get(0, 0), Datum(std::numeric_limits<int32_t>::min()));
+  // Wrapping + and *: MIN + (-1) is MAX.
+  Result p = db->Sql("SELECT a + -1 AS x FROM t WHERE a < 0 AND a < -9");
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  ASSERT_EQ(p.table()->num_rows(), 1);
+  EXPECT_EQ(p.table()->Get(0, 0), Datum(std::numeric_limits<int32_t>::max()));
+}
+
+TEST(SqlExecution, CaseWithInt32BranchesKeepsInt32Storage) {
+  auto db = OpenEdgeValueDb();
+  Result r = db->Sql("SELECT CASE WHEN a > 0 THEN a ELSE -1 END AS x FROM t");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r.table()->num_rows(), 3);
+  EXPECT_EQ(r.table()->Get(0, 0), Datum(int32_t{-1}));
+  EXPECT_EQ(r.table()->Get(1, 0), Datum(int32_t{6}));
+  EXPECT_EQ(r.table()->Get(2, 0), Datum(int32_t{-1}));
+}
+
+TEST(SqlExecution, InOnADoubleColumnComparesLikeEquals) {
+  auto db = OpenEdgeValueDb();
+  Result in = db->Sql("SELECT d FROM t WHERE d IN (1.5)");
+  Result eq = db->Sql("SELECT d FROM t WHERE d = 1.5");
+  ASSERT_TRUE(in.ok()) << in.status().ToString();
+  ASSERT_TRUE(eq.ok()) << eq.status().ToString();
+  ASSERT_EQ(in.table()->num_rows(), 1);
+  EXPECT_EQ(in.table()->Get(0, 0), Datum(1.5));
+  ExpectTablesBitIdentical(in.table(), eq.table());
+  // An integer list against a double column is exact too: 1 is not 1.2.
+  Result ints = db->Sql("SELECT d FROM t WHERE d IN (1, 2)");
+  ASSERT_TRUE(ints.ok()) << ints.status().ToString();
+  EXPECT_EQ(ints.table()->num_rows(), 0);
 }
 
 // ---------------------------------------------------------------------------
