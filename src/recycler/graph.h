@@ -106,6 +106,9 @@ struct RGNode {
   /// renamed to graph space. Keeps the parameters (predicates, group-by
   /// lists, aggregate items...) inspectable for subsumption and rewrites.
   PlanPtr param_node;
+  /// Select only: fingerprints of param_node's predicate conjuncts,
+  /// taken once at insert for subsumption matching.
+  std::set<std::string> conjunct_fps;
 
   /// Output column names in graph space, positionally matching the
   /// defining plan node's output schema.

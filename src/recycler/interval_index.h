@@ -5,7 +5,7 @@
 // indexed per (child graph-node, column). An incoming range selection
 // over the same child then finds every overlapping cached slice with an
 // interval query instead of a linear scan over the child's parents, and
-// the stitching rewriter (TryPartialStitch, subsumption.h) answers the
+// the stitching rewriter (PlanPartialStitch, subsumption.h) answers the
 // query from the union of the overlapping slices plus compensated delta
 // scans over the uncovered remainder.
 //

@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <map>
+#include <optional>
 #include <unordered_set>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/macros.h"
@@ -658,6 +661,11 @@ RGNode* Recycler::InsertOne(const PlanNode& node,
   gnode->signature = MappedSignature(node, *mapping);
   gnode->param_fp = node.ParamFingerprint(mapping);
   gnode->param_node = node.CloneParamsRenamed(*mapping);
+  if (node.type() == OpType::kSelect) {
+    for (const ExprPtr& c : SplitConjuncts(gnode->param_node->predicate())) {
+      gnode->conjunct_fps.insert(c->Fingerprint(nullptr));
+    }
+  }
   gnode->children = child_g;
   gnode->base_tables = node.base_tables();
   gnode->inserted_by = query_id;
@@ -997,31 +1005,28 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
       MaybeAdoptOrphanParents(child_gnode, prepared);
 
       // Single-superset subsumption (§IV-A). Candidate parents are
-      // collected under the shared lock; their snapshots are taken
-      // outside it because a kCold candidate re-admits from disk, and
-      // promotion itself acquires the graph lock. The raw pointers stay
-      // valid: truncation requires a quiescent point, and this query is
-      // inside its Prepare window.
+      // collected under the shared lock. Each is decided from graph
+      // metadata; only the first that derives is read, outside the lock,
+      // because a kCold candidate loads from disk and promotion acquires
+      // the graph lock. The raw pointers stay valid: truncation requires
+      // a quiescent point, and this query is inside its Prepare window.
       if (config_.enable_subsumption) {
-        std::vector<RGNode*> hot_cands;
-        std::vector<RGNode*> cold_cands;
+        std::vector<RGNode*> cands;
         {
           std::shared_lock<std::shared_mutex> glock(graph_.mutex());
+          std::vector<RGNode*> cold_cands;
           std::unordered_set<RGNode*> seen;
           for (const auto& [hk, parent] : child_gnode->parents) {
             if (parent == g || !seen.insert(parent).second) continue;
             MatState ms = parent->mat_state.load();
-            if (ms == MatState::kCached) hot_cands.push_back(parent);
+            if (ms == MatState::kCached) cands.push_back(parent);
             if (ms == MatState::kCold) cold_cands.push_back(parent);
           }
+          // Hot candidates first: a chosen cold one costs a disk read,
+          // so it is chosen only when no in-memory candidate derives.
+          cands.insert(cands.end(), cold_cands.begin(), cold_cands.end());
         }
-        // Hot candidates first: cold ones cost a disk load just to probe
-        // (TrySubsumption needs the table), so they are only consulted
-        // when no in-memory candidate derives. A failed cold probe still
-        // leaves the loaded result promoted for future queries.
-        hot_cands.insert(hot_cands.end(), cold_cands.begin(),
-                         cold_cands.end());
-        // When the query is a range selection, a cold candidate loads as
+        // When the query is a range selection, a cold subsumer loads as
         // a filtered slice: the selection runs on the encoded image and
         // only in-range rows materialize. Sound because the subsumption
         // compensation either already implies the range (shared
@@ -1033,28 +1038,29 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
         }
         const RangeSpec* sub_spec =
             sub_specs.empty() ? nullptr : &sub_specs[0];
+        const SubsumptionProbe probe(*m->plan, m->children[0]->mapping);
         SubsumptionPlan derived;
         RGNode* subsumer = nullptr;
         bool subsumer_from_cold = false;
-        for (RGNode* parent : hot_cands) {
+        for (RGNode* parent : cands) {
           // A stale candidate never derives: its result may lack
           // appended rows the query's pinned snapshot contains.
           if (NodeFreshness(parent, prepared, nullptr) != Freshness::kFresh) {
             continue;
           }
-          bool from_cold = false;
-          TablePtr cached =
-              SnapshotOrLoadSlice(parent, sub_spec, prepared, &from_cold);
+          std::optional<SubsumptionMatch> match =
+              MatchSubsumption(probe, *parent);
+          if (!match.has_value()) continue;
+          // A failed load (swept or corrupt file, raced eviction) drops
+          // the candidate; the loop decides again over the rest.
+          TablePtr cached = SnapshotOrLoadSlice(parent, sub_spec, prepared,
+                                                &subsumer_from_cold);
           if (cached == nullptr) continue;
-          derived = TrySubsumption(*m->plan, m->children[0]->mapping,
-                                   *parent, cached);
-          if (derived.plan != nullptr) {
-            subsumer = parent;
-            subsumer_from_cold = from_cold;
-            break;
-          }
+          derived = BuildSubsumption(*m->plan, *match, std::move(cached));
+          subsumer = parent;
+          break;
         }
-        if (derived.plan != nullptr) {
+        if (subsumer != nullptr) {
           {
             // Exclusive: the subsumption edge list is graph structure.
             std::unique_lock<std::shared_mutex> glock(graph_.mutex());
@@ -1087,36 +1093,94 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
       // proportionally to the share of the interval they serve.
       //
       // Candidate slices come from the interval index (which retains
-      // cold entries: a spilled slice still stitches); their snapshots
-      // are taken without the graph lock because kCold candidates
-      // re-admit from disk and promotion acquires it. Pointers stay
-      // valid for the Prepare window (truncation needs quiescence).
+      // cold entries: a spilled slice still stitches). The stitch is
+      // planned from their interval metadata, and only the chosen
+      // pieces are read, without the graph lock because kCold pieces
+      // load from disk and promotion acquires it. Pointers stay valid
+      // for the Prepare window (truncation needs quiescence).
       if (config_.enable_partial_reuse && plan->type() == OpType::kSelect) {
         const NameMap& mapping = m->children[0]->mapping;
         std::vector<RangeSpec> specs =
             ExtractRangeSpecs(plan->predicate(), &mapping);
-        std::vector<std::vector<IntervalIndex::Entry>> entries_per_spec(
-            specs.size());
-        bool any_entries = false;
+        std::vector<std::vector<IntervalIndex::Entry>> cands(specs.size());
         if (!specs.empty()) {
           std::lock_guard<std::mutex> clock(cache_mu_);
           for (size_t si = 0; si < specs.size(); ++si) {
-            entries_per_spec[si] = interval_index_.Overlapping(
+            cands[si] = interval_index_.Overlapping(
                 child_gnode->id, specs[si].mapped_column, specs[si].range);
-            any_entries = any_entries || !entries_per_spec[si].empty();
           }
         }
-        if (any_entries) {
+        auto drop_if = [&cands](auto pred) {
+          for (std::vector<IntervalIndex::Entry>& entries : cands) {
+            entries.erase(
+                std::remove_if(entries.begin(), entries.end(), pred),
+                entries.end());
+          }
+        };
+        // Exact reuse was handled above; stale slices never stitch
+        // (appended rows missing).
+        drop_if([&](const IntervalIndex::Entry& e) {
+          return e.node == g ||
+                 NodeFreshness(e.node, prepared, nullptr) != Freshness::kFresh;
+        });
+        // Decide, then load: plan every spec's stitch, keep the best
+        // cover, and read only its pieces (cold ones as slices filtered
+        // through the spec's interval; rows outside it are clipped out
+        // anyway). A piece whose load fails is dropped from every spec
+        // and the stitch is decided again; pieces already read are kept.
+        PartialPlan stitched;
+        std::vector<TablePtr> slices;
+        std::map<std::pair<size_t, const RGNode*>, TablePtr> loaded;
+        for (;;) {
+          stitched = PartialPlan{};
+          size_t spec_index = 0;
+          for (size_t si = 0; si < specs.size(); ++si) {
+            if (cands[si].empty()) continue;
+            PartialPlan attempt =
+                PlanPartialStitch(*plan, mapping, specs[si], cands[si]);
+            if (!attempt.reuse_pieces.empty() &&
+                attempt.covered_fraction > stitched.covered_fraction) {
+              stitched = std::move(attempt);
+              spec_index = si;
+            }
+          }
+          if (stitched.reuse_pieces.empty() ||
+              stitched.covered_fraction < config_.partial_min_cover) {
+            stitched = PartialPlan{};
+            break;
+          }
+          slices.clear();
+          RGNode* failed = nullptr;
+          for (const PartialPiece& piece : stitched.reuse_pieces) {
+            TablePtr& slice = loaded[{spec_index, piece.source}];
+            if (slice == nullptr) {
+              bool from_cold = false;
+              slice = SnapshotOrLoadSlice(piece.source, &specs[spec_index],
+                                          prepared, &from_cold);
+            }
+            if (slice == nullptr) {
+              failed = piece.source;
+              break;
+            }
+            slices.push_back(slice);
+          }
+          if (failed == nullptr) break;
+          drop_if([failed](const IntervalIndex::Entry& e) {
+            return e.node == failed;
+          });
+        }
+        if (!stitched.reuse_pieces.empty()) {
           // Delta scans prefer the child's own result — from either
           // tier — over re-executing the child subtree (stitching must
           // not preempt a reuse the plain miss path would have gotten).
           PlanPtr delta_child = plan->children()[0];
           bool delta_child_cached = false;
           bool delta_child_from_cold = false;
-          if (NodeFreshness(child_gnode, prepared, nullptr) ==
-              Freshness::kFresh) {
-            TablePtr child_snap =
-                SnapshotOrReadmit(child_gnode, prepared, &delta_child_from_cold);
+          if (stitched.delta_predicate != nullptr &&
+              NodeFreshness(child_gnode, prepared, nullptr) ==
+                  Freshness::kFresh) {
+            TablePtr child_snap = SnapshotOrReadmit(child_gnode, prepared,
+                                                    &delta_child_from_cold);
             if (child_snap != nullptr) {
               delta_child = PlanNode::CachedScan(
                   std::move(child_snap),
@@ -1124,40 +1188,12 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
               delta_child_cached = true;
             }
           }
-          PartialPlan stitched;
-          for (size_t si = 0; si < specs.size(); ++si) {
-            std::vector<IntervalCandidate> cands;
-            for (IntervalIndex::Entry& e : entries_per_spec[si]) {
-              if (e.node == g) continue;  // exact reuse handled above
-              // Stale slices never stitch (appended rows missing); cold
-              // slices load filtered through the query's own interval
-              // (rows outside it are clipped out by the stitch anyway).
-              if (NodeFreshness(e.node, prepared, nullptr) !=
-                  Freshness::kFresh) {
-                continue;
-              }
-              bool from_cold = false;
-              TablePtr cached =
-                  SnapshotOrLoadSlice(e.node, &specs[si], prepared, &from_cold);
-              if (cached == nullptr) continue;
-              cands.push_back({e.node, std::move(cached), e.range,
-                               std::move(e.other_fps)});
-            }
-            if (cands.empty()) continue;
-            PartialPlan attempt = TryPartialStitch(*plan, mapping,
-                                                   delta_child, specs[si],
-                                                   cands);
-            if (attempt.plan != nullptr &&
-                attempt.covered_fraction > stitched.covered_fraction) {
-              stitched = std::move(attempt);
-            }
-          }
+          BuildPartialStitch(*plan, delta_child, slices, &stitched);
           int stitch_cold_hits = 0;
-          if (stitched.plan != nullptr &&
-              stitched.covered_fraction >= config_.partial_min_cover) {
+          {
             std::shared_lock<std::shared_mutex> glock(graph_.mutex());
             for (const PartialPiece& piece : stitched.reuse_pieces) {
-              RGNode* src = const_cast<RGNode*>(piece.source);
+              RGNode* src = piece.source;
               graph_.FoldAging(src);
               AtomicAddClamped(src->h, piece.fraction, 0.0);
               piece.cached_scan->set_cache_key(CanonicalSubtreeKey(src));
@@ -1165,11 +1201,9 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
               // contributor's from-base-tables work.
               prepared->replaced_cost_[piece.cached_scan.get()] =
                   src->bcost_ms.load() * piece.fraction;
-              if (prepared->cold_loaded_.count(piece.source) > 0) {
-                ++stitch_cold_hits;
-              }
+              if (prepared->cold_loaded_.count(src) > 0) ++stitch_cold_hits;
             }
-            if (delta_child_cached && stitched.num_delta_pieces > 0) {
+            if (delta_child_cached) {
               // The single delta branch replaced the child's base cost
               // exactly once (Eq. 2).
               graph_.FoldAging(child_gnode);
@@ -1179,27 +1213,23 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
                   child_gnode->bcost_ms.load();
               if (delta_child_from_cold) ++stitch_cold_hits;
             }
-          } else {
-            stitched = PartialPlan{};
           }
-          if (stitched.plan != nullptr) {
-            m->stitched = true;
-            m->exec_plan = stitched.plan.get();
-            prepared->exec_to_gnode_[stitched.plan.get()] = g;
-            ++prepared->trace_.num_reuses;
-            ++prepared->trace_.num_partial_reuses;
+          m->stitched = true;
+          m->exec_plan = stitched.plan.get();
+          prepared->exec_to_gnode_[stitched.plan.get()] = g;
+          ++prepared->trace_.num_reuses;
+          ++prepared->trace_.num_partial_reuses;
+          counters_.reuses.fetch_add(1);
+          counters_.partial_reuses.fetch_add(1);
+          if (delta_child_cached) {
+            ++prepared->trace_.num_reuses;  // the child reuse in the deltas
             counters_.reuses.fetch_add(1);
-            counters_.partial_reuses.fetch_add(1);
-            if (delta_child_cached && stitched.num_delta_pieces > 0) {
-              ++prepared->trace_.num_reuses;  // the child reuse in the deltas
-              counters_.reuses.fetch_add(1);
-            }
-            if (stitch_cold_hits > 0) {
-              prepared->trace_.num_cold_hits += stitch_cold_hits;
-              counters_.cold_hits.fetch_add(stitch_cold_hits);
-            }
-            return stitched.plan;
           }
+          if (stitch_cold_hits > 0) {
+            prepared->trace_.num_cold_hits += stitch_cold_hits;
+            counters_.cold_hits.fetch_add(stitch_cold_hits);
+          }
+          return stitched.plan;
         }
       }
     }

@@ -45,70 +45,61 @@ int FindCandAgg(const PlanNode& cand, AggFunc fn, const std::string& arg_fp) {
   return -1;
 }
 
-/// Builds the CachedScan with synthetic column names s0..s<k>.
-SubsumptionPlan MakeSyntheticScan(TablePtr cached) {
-  SubsumptionPlan out;
+/// Synthetic CachedScan column names s0..s<k-1> for a k-column result.
+std::vector<std::string> SyntheticNames(size_t k) {
   std::vector<std::string> names;
-  names.reserve(cached->schema().num_fields());
-  for (int i = 0; i < cached->schema().num_fields(); ++i) {
-    names.push_back(StrFormat("s%d", i));
+  names.reserve(k);
+  for (size_t i = 0; i < k; ++i) {
+    names.push_back(StrFormat("s%d", static_cast<int>(i)));
   }
-  out.cached_scan = PlanNode::CachedScan(std::move(cached), std::move(names));
-  return out;
+  return names;
 }
 
-SubsumptionPlan TrySelect(const PlanNode& query_node,
-                          const NameMap& child_mapping, const RGNode& cand,
-                          TablePtr cached) {
-  const PlanNode& cp = *cand.param_node;
-  std::set<std::string> cand_fps = ConjunctFps(cp.predicate(), nullptr);
-  std::vector<ExprPtr> residual;
-  std::set<std::string> covered;
-  for (const auto& c : SplitConjuncts(query_node.predicate())) {
-    std::string fp = c->Fingerprint(&child_mapping);
-    if (cand_fps.count(fp) > 0) {
-      covered.insert(fp);
-    } else {
-      residual.push_back(c);
-    }
-  }
+std::optional<SubsumptionMatch> MatchSelect(const SubsumptionProbe& probe,
+                                            const RGNode& cand) {
   // Every cached conjunct must be implied by the query's (conjunct subset):
   // otherwise the cached result dropped rows the query needs.
-  if (covered.size() != cand_fps.size()) return {};
-
-  SubsumptionPlan out;
+  for (const std::string& fp : cand.conjunct_fps) {
+    if (std::find(probe.conjunct_fps.begin(), probe.conjunct_fps.end(), fp) ==
+        probe.conjunct_fps.end()) {
+      return std::nullopt;
+    }
+  }
+  std::vector<ExprPtr> residual;
+  for (size_t i = 0; i < probe.conjuncts.size(); ++i) {
+    if (cand.conjunct_fps.count(probe.conjunct_fps[i]) == 0) {
+      residual.push_back(probe.conjuncts[i]);
+    }
+  }
+  SubsumptionMatch out;
   // The select's output schema equals its child's; the cached columns are
   // positionally the child's columns.
-  out.cached_scan = PlanNode::CachedScan(
-      std::move(cached), query_node.output_schema().Names());
-  out.plan = residual.empty()
-                 ? out.cached_scan
-                 : PlanNode::Select(out.cached_scan, AndAll(residual));
+  out.scan_names = probe.query_node.output_schema().Names();
+  if (!residual.empty()) out.residual = AndAll(residual);
   return out;
 }
 
-SubsumptionPlan TryTopN(const PlanNode& query_node, const NameMap& child_mapping,
-                        const RGNode& cand, TablePtr cached) {
+std::optional<SubsumptionMatch> MatchTopN(const SubsumptionProbe& probe,
+                                          const RGNode& cand) {
+  const PlanNode& q = probe.query_node;
   const PlanNode& cp = *cand.param_node;
-  if (cp.limit() < query_node.limit()) return {};
-  if (!SameSortKeys(query_node.sort_keys(), child_mapping, cp.sort_keys())) {
-    return {};
+  if (cp.limit() < q.limit()) return std::nullopt;
+  if (!SameSortKeys(q.sort_keys(), probe.child_mapping, cp.sort_keys())) {
+    return std::nullopt;
   }
-  SubsumptionPlan out;
-  out.cached_scan = PlanNode::CachedScan(
-      std::move(cached), query_node.output_schema().Names());
+  SubsumptionMatch out;
+  out.scan_names = q.output_schema().Names();
   // The cached top-M is emitted in sort order, so top-N is its prefix.
-  out.plan = PlanNode::Limit(out.cached_scan, query_node.limit());
+  out.limit = q.limit();
   return out;
 }
 
-SubsumptionPlan TryProject(const PlanNode& query_node,
-                           const NameMap& child_mapping, const RGNode& cand,
-                           TablePtr cached) {
+std::optional<SubsumptionMatch> MatchProject(const SubsumptionProbe& probe,
+                                             const RGNode& cand) {
   const PlanNode& cp = *cand.param_node;
-  std::vector<int> positions;
-  for (const auto& item : query_node.projections()) {
-    std::string fp = item.expr->Fingerprint(&child_mapping);
+  SubsumptionMatch out;
+  for (const auto& item : probe.query_node.projections()) {
+    std::string fp = item.expr->Fingerprint(&probe.child_mapping);
     int pos = -1;
     for (size_t j = 0; j < cp.projections().size(); ++j) {
       if (cp.projections()[j].expr->Fingerprint(nullptr) == fp) {
@@ -116,30 +107,27 @@ SubsumptionPlan TryProject(const PlanNode& query_node,
         break;
       }
     }
-    if (pos < 0) return {};  // column subsumption requires a superset
-    positions.push_back(pos);
+    // Column subsumption requires a superset.
+    if (pos < 0) return std::nullopt;
+    out.projection.push_back(
+        {Expr::Column(StrFormat("s%d", pos)), item.out_name});
   }
-  SubsumptionPlan out = MakeSyntheticScan(std::move(cached));
-  std::vector<ProjItem> items;
-  for (size_t i = 0; i < positions.size(); ++i) {
-    items.push_back({Expr::Column(StrFormat("s%d", positions[i])),
-                     query_node.projections()[i].out_name});
-  }
-  out.plan = PlanNode::Project(out.cached_scan, std::move(items));
+  out.scan_names = SyntheticNames(cand.output_names.size());
   return out;
 }
 
-SubsumptionPlan TryAggregate(const PlanNode& query_node,
-                             const NameMap& child_mapping, const RGNode& cand,
-                             TablePtr cached) {
+std::optional<SubsumptionMatch> MatchAggregate(const SubsumptionProbe& probe,
+                                               const RGNode& cand) {
+  const PlanNode& q = probe.query_node;
+  const NameMap& child_mapping = probe.child_mapping;
   const PlanNode& cp = *cand.param_node;
   const int cand_groups = static_cast<int>(cp.group_by().size());
 
   // Map each query group column to its position in the cached result.
   std::vector<int> group_pos;
-  for (const auto& q : query_node.group_by()) {
-    auto it = child_mapping.find(q);
-    const std::string& gq = it == child_mapping.end() ? q : it->second;
+  for (const auto& g : q.group_by()) {
+    auto it = child_mapping.find(g);
+    const std::string& gq = it == child_mapping.end() ? g : it->second;
     int pos = -1;
     for (int j = 0; j < cand_groups; ++j) {
       if (cp.group_by()[j] == gq) {
@@ -147,127 +135,134 @@ SubsumptionPlan TryAggregate(const PlanNode& query_node,
         break;
       }
     }
-    if (pos < 0) return {};  // query grouping must be coarser or equal
+    // Query grouping must be coarser or equal.
+    if (pos < 0) return std::nullopt;
     group_pos.push_back(pos);
   }
 
-  const bool same_grouping =
-      static_cast<int>(query_node.group_by().size()) == cand_groups;
-
-  if (same_grouping) {
+  SubsumptionMatch out;
+  out.scan_names = SyntheticNames(cand.output_names.size());
+  if (static_cast<int>(q.group_by().size()) == cand_groups) {
     // Column subsumption: same grouping; every requested aggregate must be
     // present verbatim -> project out the needed columns.
-    std::vector<int> agg_pos;
-    for (const auto& a : query_node.aggregates()) {
-      int j = FindCandAgg(cp, a.fn, a.arg->Fingerprint(&child_mapping));
-      if (j < 0) return {};
-      agg_pos.push_back(cand_groups + j);
-    }
-    SubsumptionPlan out = MakeSyntheticScan(std::move(cached));
-    std::vector<ProjItem> items;
     for (size_t i = 0; i < group_pos.size(); ++i) {
-      items.push_back({Expr::Column(StrFormat("s%d", group_pos[i])),
-                       query_node.group_by()[i]});
+      out.projection.push_back(
+          {Expr::Column(StrFormat("s%d", group_pos[i])), q.group_by()[i]});
     }
-    for (size_t i = 0; i < agg_pos.size(); ++i) {
-      items.push_back({Expr::Column(StrFormat("s%d", agg_pos[i])),
-                       query_node.aggregates()[i].out_name});
+    for (const auto& a : q.aggregates()) {
+      int j = FindCandAgg(cp, a.fn, a.arg->Fingerprint(&child_mapping));
+      if (j < 0) return std::nullopt;
+      out.projection.push_back(
+          {Expr::Column(StrFormat("s%d", cand_groups + j)), a.out_name});
     }
-    out.plan = PlanNode::Project(out.cached_scan, std::move(items));
     return out;
   }
 
   // Tuple subsumption: the cached grouping is strictly finer. Re-aggregate
-  // the cached partials with the decomposition rules.
-  std::vector<AggItem> reaggs;      // over synthetic columns
-  std::vector<ProjItem> final_items;
+  // the cached partials with the decomposition rules. The query's group
+  // columns are renamed in the scan so the re-aggregation's group outputs
+  // carry the final names directly.
+  out.reaggregate = true;
   for (size_t i = 0; i < group_pos.size(); ++i) {
-    final_items.push_back({Expr::Column(query_node.group_by()[i]),
-                           query_node.group_by()[i]});
+    out.scan_names[group_pos[i]] = q.group_by()[i];
+    out.projection.push_back({Expr::Column(q.group_by()[i]), q.group_by()[i]});
   }
   int temp_serial = 0;
-  for (const auto& a : query_node.aggregates()) {
+  // Re-aggregates cached aggregate (fn, arg) with `refn`; returns the
+  // temporary's name, or "" when the cached result lacks it.
+  auto reagg = [&](AggFunc fn, const std::string& arg_fp,
+                   AggFunc refn) -> std::string {
+    int j = FindCandAgg(cp, fn, arg_fp);
+    if (j < 0) return "";
+    std::string tmp = StrFormat("r%d", temp_serial++);
+    out.reaggs.push_back(
+        {refn, Expr::Column(StrFormat("s%d", cand_groups + j)), tmp});
+    return tmp;
+  };
+  for (const auto& a : q.aggregates()) {
     std::string arg_fp = a.arg->Fingerprint(&child_mapping);
+    ExprPtr final_expr;
     switch (a.fn) {
       case AggFunc::kSum:
       case AggFunc::kMin:
       case AggFunc::kMax: {
-        int j = FindCandAgg(cp, a.fn, arg_fp);
-        if (j < 0) return {};
-        std::string tmp = StrFormat("r%d", temp_serial++);
-        AggFunc refn = a.fn == AggFunc::kSum ? AggFunc::kSum : a.fn;
-        reaggs.push_back(
-            {refn, Expr::Column(StrFormat("s%d", cand_groups + j)), tmp});
-        final_items.push_back({Expr::Column(tmp), a.out_name});
+        std::string t = reagg(a.fn, arg_fp, a.fn);
+        if (t.empty()) return std::nullopt;
+        final_expr = Expr::Column(t);
         break;
       }
       case AggFunc::kCount: {
-        int j = FindCandAgg(cp, AggFunc::kCount, arg_fp);
-        if (j < 0) return {};
-        std::string tmp = StrFormat("r%d", temp_serial++);
-        reaggs.push_back(
-            {AggFunc::kSum, Expr::Column(StrFormat("s%d", cand_groups + j)),
-             tmp});
-        final_items.push_back({Expr::Column(tmp), a.out_name});
+        std::string t = reagg(AggFunc::kCount, arg_fp, AggFunc::kSum);
+        if (t.empty()) return std::nullopt;
+        final_expr = Expr::Column(t);
         break;
       }
       case AggFunc::kAvg: {
-        int js = FindCandAgg(cp, AggFunc::kSum, arg_fp);
-        int jc = FindCandAgg(cp, AggFunc::kCount, arg_fp);
-        if (js < 0 || jc < 0) return {};
-        std::string ts = StrFormat("r%d", temp_serial++);
-        std::string tc = StrFormat("r%d", temp_serial++);
-        reaggs.push_back(
-            {AggFunc::kSum, Expr::Column(StrFormat("s%d", cand_groups + js)),
-             ts});
-        reaggs.push_back(
-            {AggFunc::kSum, Expr::Column(StrFormat("s%d", cand_groups + jc)),
-             tc});
-        final_items.push_back(
-            {Expr::Arith(ArithOp::kDiv,
-                         Expr::Arith(ArithOp::kMul, Expr::Column(ts),
-                                     Expr::Literal(1.0)),
-                         Expr::Column(tc)),
-             a.out_name});
+        if (FindCandAgg(cp, AggFunc::kCount, arg_fp) < 0) return std::nullopt;
+        std::string ts = reagg(AggFunc::kSum, arg_fp, AggFunc::kSum);
+        if (ts.empty()) return std::nullopt;
+        std::string tc = reagg(AggFunc::kCount, arg_fp, AggFunc::kSum);
+        final_expr = Expr::Arith(ArithOp::kDiv,
+                                 Expr::Arith(ArithOp::kMul, Expr::Column(ts),
+                                             Expr::Literal(1.0)),
+                                 Expr::Column(tc));
         break;
       }
     }
+    out.projection.push_back({std::move(final_expr), a.out_name});
   }
-
-  SubsumptionPlan out = MakeSyntheticScan(std::move(cached));
-  // Rename the query's group columns in the synthetic scan so the
-  // re-aggregation's group outputs carry the final names directly.
-  std::vector<std::string> scan_names = out.cached_scan->scan_columns();
-  for (size_t i = 0; i < group_pos.size(); ++i) {
-    scan_names[group_pos[i]] = query_node.group_by()[i];
-  }
-  out.cached_scan =
-      PlanNode::CachedScan(out.cached_scan->cached_result(), scan_names);
-  PlanPtr reagg = PlanNode::Aggregate(out.cached_scan,
-                                      query_node.group_by(), reaggs);
-  out.plan = PlanNode::Project(reagg, std::move(final_items));
   return out;
 }
 
 }  // namespace
 
-SubsumptionPlan TrySubsumption(const PlanNode& query_node,
-                               const NameMap& child_mapping,
-                               const RGNode& cand, TablePtr cached) {
-  if (cand.param_node == nullptr || cached == nullptr) return {};
-  if (cand.type != query_node.type()) return {};
-  switch (query_node.type()) {
-    case OpType::kSelect:
-      return TrySelect(query_node, child_mapping, cand, std::move(cached));
-    case OpType::kTopN:
-      return TryTopN(query_node, child_mapping, cand, std::move(cached));
-    case OpType::kProject:
-      return TryProject(query_node, child_mapping, cand, std::move(cached));
-    case OpType::kAggregate:
-      return TryAggregate(query_node, child_mapping, cand, std::move(cached));
-    default:
-      return {};
+SubsumptionProbe::SubsumptionProbe(const PlanNode& query_node,
+                                   const NameMap& child_mapping)
+    : query_node(query_node), child_mapping(child_mapping) {
+  if (query_node.type() != OpType::kSelect) return;
+  conjuncts = SplitConjuncts(query_node.predicate());
+  conjunct_fps.reserve(conjuncts.size());
+  for (const ExprPtr& c : conjuncts) {
+    conjunct_fps.push_back(c->Fingerprint(&child_mapping));
   }
+}
+
+std::optional<SubsumptionMatch> MatchSubsumption(const SubsumptionProbe& probe,
+                                                 const RGNode& cand) {
+  if (cand.param_node == nullptr) return std::nullopt;
+  if (cand.type != probe.query_node.type()) return std::nullopt;
+  switch (cand.type) {
+    case OpType::kSelect:
+      return MatchSelect(probe, cand);
+    case OpType::kTopN:
+      return MatchTopN(probe, cand);
+    case OpType::kProject:
+      return MatchProject(probe, cand);
+    case OpType::kAggregate:
+      return MatchAggregate(probe, cand);
+    default:
+      return std::nullopt;
+  }
+}
+
+SubsumptionPlan BuildSubsumption(const PlanNode& query_node,
+                                 const SubsumptionMatch& match,
+                                 TablePtr cached) {
+  SubsumptionPlan out;
+  out.cached_scan = PlanNode::CachedScan(std::move(cached), match.scan_names);
+  out.plan = out.cached_scan;
+  if (match.residual != nullptr) {
+    out.plan = PlanNode::Select(out.plan, match.residual);
+  }
+  if (match.limit >= 0) out.plan = PlanNode::Limit(out.plan, match.limit);
+  if (match.reaggregate) {
+    out.plan =
+        PlanNode::Aggregate(out.plan, query_node.group_by(), match.reaggs);
+  }
+  if (!match.projection.empty()) {
+    out.plan = PlanNode::Project(out.plan, match.projection);
+  }
+  return out;
 }
 
 namespace {
@@ -287,19 +282,18 @@ bool NumericDatum(const Datum& d) {
 
 }  // namespace
 
-PartialPlan TryPartialStitch(const PlanNode& query_node,
-                             const NameMap& child_mapping,
-                             const PlanPtr& child_plan, const RangeSpec& spec,
-                             const std::vector<IntervalCandidate>& candidates) {
+PartialPlan PlanPartialStitch(
+    const PlanNode& query_node, const NameMap& child_mapping,
+    const RangeSpec& spec,
+    const std::vector<IntervalIndex::Entry>& candidates) {
   PartialPlan out;
   const ColumnInterval& q = spec.range;
 
   // A candidate is usable when its remaining conjuncts are a subset of
   // the query's (the cached slice then only lacks the residual filters,
   // applied as compensation below) and its interval overlaps the query's.
-  std::vector<const IntervalCandidate*> eligible;
-  for (const IntervalCandidate& c : candidates) {
-    if (c.cached == nullptr) continue;
+  std::vector<const IntervalIndex::Entry*> eligible;
+  for (const IntervalIndex::Entry& c : candidates) {
     if (!std::includes(spec.other_fps.begin(), spec.other_fps.end(),
                        c.other_fps.begin(), c.other_fps.end())) {
       continue;
@@ -316,7 +310,7 @@ PartialPlan TryPartialStitch(const PlanNode& query_node,
   // (hence Explain text and goldens) would differ across engines that
   // executed the same workload.
   std::sort(eligible.begin(), eligible.end(),
-            [](const IntervalCandidate* a, const IntervalCandidate* b) {
+            [](const IntervalIndex::Entry* a, const IntervalIndex::Entry* b) {
               if (LoTighter(b->range.lo, a->range.lo)) return true;
               if (LoTighter(a->range.lo, b->range.lo)) return false;
               if (HiTighter(b->range.hi, a->range.hi)) return true;
@@ -337,9 +331,6 @@ PartialPlan TryPartialStitch(const PlanNode& query_node,
     return std::max(0.0, std::min(1.0, len / qlen));
   };
 
-  const std::vector<std::string> child_names =
-      query_node.output_schema().Names();
-  std::vector<PlanPtr> branches;
   // Uncovered gaps are collected and merged into ONE delta scan below,
   // so the child subtree executes at most once per stitched plan.
   std::vector<ColumnInterval> gaps;
@@ -368,7 +359,7 @@ PartialPlan TryPartialStitch(const PlanNode& query_node,
   // values land in exactly one branch of the union.
   RangeBound cursor = q.lo;
   bool exhausted = false;
-  for (const IntervalCandidate* c : eligible) {
+  for (const IntervalIndex::Entry* c : eligible) {
     ColumnInterval rem{cursor, q.hi};
     if (IntervalEmpty(rem)) {
       exhausted = true;
@@ -395,11 +386,9 @@ PartialPlan TryPartialStitch(const PlanNode& query_node,
     if (HiTighter(clip.hi, c->range.hi)) {
       comp.push_back(BoundExpr(spec.column, clip.hi, /*is_lower=*/false));
     }
-    PlanPtr scan = PlanNode::CachedScan(c->cached, child_names);
-    PlanPtr piece =
-        comp.empty() ? scan : PlanNode::Select(scan, AndAll(comp));
-    branches.push_back(piece);
-    out.reuse_pieces.push_back({piece, scan, c->node, fraction_of(clip)});
+    out.reuse_pieces.push_back(
+        {c->node, comp.empty() ? nullptr : AndAll(comp), fraction_of(clip),
+         /*cached_scan=*/nullptr});
     if (clip.hi.unbounded) {  // covered through +inf (q.hi is unbounded)
       exhausted = true;
       break;
@@ -436,20 +425,39 @@ PartialPlan TryPartialStitch(const PlanNode& query_node,
     }
     std::vector<ExprPtr> conj = spec.others;
     conj.push_back(ranges);
-    branches.push_back(PlanNode::Select(child_plan, AndAll(conj)));
-    out.num_delta_pieces = 1;
+    out.delta_predicate = AndAll(conj);
   }
 
   // Unmeasurable interval: split the credit evenly across all branches.
+  const size_t num_branches =
+      out.reuse_pieces.size() + (out.delta_predicate != nullptr ? 1 : 0);
   for (PartialPiece& p : out.reuse_pieces) {
-    if (p.fraction < 0) p.fraction = 1.0 / branches.size();
+    if (p.fraction < 0) p.fraction = 1.0 / num_branches;
     out.covered_fraction += p.fraction;
   }
   out.covered_fraction = std::min(1.0, out.covered_fraction);
-
-  out.plan = branches.size() == 1 ? branches[0]
-                                  : PlanNode::UnionAll(std::move(branches));
   return out;
+}
+
+void BuildPartialStitch(const PlanNode& query_node, const PlanPtr& child_plan,
+                        const std::vector<TablePtr>& slices,
+                        PartialPlan* stitch) {
+  RDB_CHECK(slices.size() == stitch->reuse_pieces.size());
+  const std::vector<std::string> child_names =
+      query_node.output_schema().Names();
+  std::vector<PlanPtr> branches;
+  for (size_t i = 0; i < slices.size(); ++i) {
+    PartialPiece& p = stitch->reuse_pieces[i];
+    p.cached_scan = PlanNode::CachedScan(slices[i], child_names);
+    branches.push_back(p.compensation == nullptr
+                           ? p.cached_scan
+                           : PlanNode::Select(p.cached_scan, p.compensation));
+  }
+  if (stitch->delta_predicate != nullptr) {
+    branches.push_back(PlanNode::Select(child_plan, stitch->delta_predicate));
+  }
+  stitch->plan = branches.size() == 1 ? branches[0]
+                                      : PlanNode::UnionAll(std::move(branches));
 }
 
 bool ParamsSubsume(const PlanNode& super, const PlanNode& sub) {

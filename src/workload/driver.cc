@@ -279,7 +279,7 @@ std::string FormatTrace(const RunReport& report) {
                                                  r.trace.blocks_scanned));
     }
     if (r.trace.used_proactive) events += "proactive ";
-    if (events.empty()) events = "-";
+    if (events.empty()) events.assign(1, '-');
     out += StrFormat("%8.1f  S%-5d  %-11s  %7.1f  %s\n", r.start_ms,
                      r.stream + 1, r.label.c_str(), r.end_ms - r.start_ms,
                      events.c_str());

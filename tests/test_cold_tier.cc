@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <set>
 #include <shared_mutex>
 #include <thread>
 
@@ -18,12 +19,14 @@
 #include "recycler/recycler.h"
 #include "storage/spill_file.h"
 #include "test_util.h"
+#include "trace/trace_format.h"
 
 namespace recycledb {
 namespace {
 
 namespace fs = std::filesystem;
 using recycledb::testing::RowMultiset;
+using recycledb::trace::ResultDigest;
 
 /// mkdtemp wrapper honoring $TMPDIR (CI points it at the runner's
 /// scratch space); removed recursively on destruction.
@@ -377,6 +380,102 @@ TEST(ColdTier, PartialStitchReadmitsFromCold) {
   EXPECT_GE(r.partial_reuses(), 1);
   EXPECT_GE(r.cold_hits(), 2);  // both slices loaded from disk
   EXPECT_EQ(RowMultiset(*r.table()), expected);
+}
+
+uint64_t BypassDigest(Database* db, PlanPtr plan) {
+  SessionOptions so;
+  so.bypass_recycler = true;
+  Result r = db->Connect(so)->Execute(std::move(plan));
+  RDB_CHECK(r.ok());
+  return ResultDigest(*r.table());
+}
+
+/// Spill files currently in `dir`.
+std::set<std::string> SpillFiles(const std::string& dir) {
+  std::set<std::string> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".spill") out.insert(entry.path());
+  }
+  return out;
+}
+
+TEST(ColdTier, UnusableColdSiblingsAreNotLoaded) {
+  TempSpillDir dir;
+  auto db = OpenDb(dir.path(), 256 << 20, 20000);
+  PlanPtr query = PlanNode::Select(PlanNode::Scan("f", {"a", "v"}),
+                                   Expr::Eq(Expr::Column("a"),
+                                            Expr::Literal(int32_t{3})));
+  const uint64_t expected = BypassDigest(db.get(), query);
+
+  ASSERT_TRUE(db->Execute(RangeQuery(0, 3000)).ok());
+  ASSERT_TRUE(db->Execute(RangeQuery(3000, 6000)).ok());
+  db->FlushCache();
+  db->recycler().cold_tier().Drain();
+  ASSERT_EQ(db->graph_stats().num_cold, 2);
+  const int64_t slice_loads = db->counters().cold_slice_loads.load();
+  const int64_t readmissions = db->counters().cold_readmissions.load();
+
+  // Neither range slice subsumes `a = 3` nor stitches it (no range on
+  // `a` is indexed), so the decision reads neither from disk.
+  Result r = db->Execute(query);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.reuses(), 0);
+  EXPECT_EQ(db->counters().cold_slice_loads.load(), slice_loads);
+  EXPECT_EQ(db->counters().cold_readmissions.load(), readmissions);
+  EXPECT_EQ(ResultDigest(*r.table()), expected);
+}
+
+TEST(ColdTier, StitchLoadsOnlyThePiecesItUses) {
+  TempSpillDir dir;
+  auto db = OpenDb(dir.path(), 256 << 20, 20000);
+  const uint64_t expected = BypassDigest(db.get(), RangeQuery(1000, 5000));
+
+  // Sweep order for [1000, 5000): [0,3000) covers [1000,3000), then
+  // [500,2500) has nothing left to cover, then [3000,6000) the rest.
+  ASSERT_TRUE(db->Execute(RangeQuery(0, 3000)).ok());
+  ASSERT_TRUE(db->Execute(RangeQuery(500, 2500)).ok());
+  ASSERT_TRUE(db->Execute(RangeQuery(3000, 6000)).ok());
+  db->FlushCache();
+  db->recycler().cold_tier().Drain();
+  ASSERT_EQ(db->graph_stats().num_cold, 3);
+  const int64_t slice_loads = db->counters().cold_slice_loads.load();
+
+  Result r = db->Execute(RangeQuery(1000, 5000));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.partial_reuses(), 1);
+  EXPECT_EQ(r.cold_hits(), 2);
+  EXPECT_EQ(db->counters().cold_slice_loads.load(), slice_loads + 2);
+  EXPECT_EQ(ResultDigest(*r.table()), expected);
+}
+
+TEST(ColdTier, FailedPieceLoadReplansTheStitch) {
+  TempSpillDir dir;
+  auto db = OpenDb(dir.path(), 256 << 20, 20000);
+  const uint64_t expected = BypassDigest(db.get(), RangeQuery(1000, 5000));
+
+  ASSERT_TRUE(db->Execute(RangeQuery(0, 3000)).ok());
+  ASSERT_TRUE(db->Execute(RangeQuery(500, 2500)).ok());
+  db->FlushCache();
+  db->recycler().cold_tier().Drain();
+  const std::set<std::string> before = SpillFiles(dir.path());
+  ASSERT_TRUE(db->Execute(RangeQuery(3000, 6000)).ok());
+  db->FlushCache();  // spills only the new slice; the others keep files
+  db->recycler().cold_tier().Drain();
+  std::set<std::string> added = SpillFiles(dir.path());
+  for (const std::string& f : before) added.erase(f);
+  ASSERT_EQ(added.size(), 1u);
+  // The plan picks [0,3000) and [3000,6000); the second's file is gone
+  // when its load comes, so the stitch re-plans to [0,3000) plus a
+  // delta scan, reusing the slice it already read.
+  fs::remove(*added.begin());
+  const int64_t slice_loads = db->counters().cold_slice_loads.load();
+
+  Result r = db->Execute(RangeQuery(1000, 5000));
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.partial_reuses(), 1);
+  EXPECT_EQ(r.cold_hits(), 1);
+  EXPECT_EQ(db->counters().cold_slice_loads.load(), slice_loads + 1);
+  EXPECT_EQ(ResultDigest(*r.table()), expected);
 }
 
 TEST(ColdTier, RejectedPromotionStillServesSnapshot) {
