@@ -71,7 +71,6 @@ std::unique_ptr<Database> RebuildEngine(const trace::Trace& t) {
   DatabaseOptions options;
   options.recycler.mode = RecyclerMode::kSpeculation;
   options.recycler.cache_bytes = -1;
-  options.recycler.use_cost_model = true;
   options.recycler.capture_plan_explain = true;
   auto db = Database::OpenOrDie(options);
   auto it = t.header.tags.find("objects");

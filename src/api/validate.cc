@@ -1,7 +1,5 @@
 #include "api/validate.h"
 
-#include <vector>
-
 #include "common/string_util.h"
 #include "plan/table_function.h"
 
@@ -14,13 +12,21 @@ Status ExprError(const Expr& expr, const std::string& what) {
                                  expr.Fingerprint(nullptr));
 }
 
+/// Result type of CASE branches typed `then_type` and `else_type`: the
+/// shared type when equal, else (numeric branches) double if either is
+/// double, else int64.
+TypeId CaseResultType(TypeId then_type, TypeId else_type) {
+  if (then_type == else_type) return then_type;
+  if (then_type == TypeId::kDouble || else_type == TypeId::kDouble) {
+    return TypeId::kDouble;
+  }
+  return TypeId::kInt64;
+}
+
 }  // namespace
 
-Status CheckExprType(const Expr& expr, const Schema& input, TypeId* out) {
-  auto ok = [out](TypeId t) {
-    if (out != nullptr) *out = t;
-    return Status::OK();
-  };
+Status CheckExprNode(const Expr& expr, const TypeId* kid_types,
+                     const Schema& input, TypeId* out) {
   switch (expr.kind()) {
     case ExprKind::kColumnRef: {
       int idx = input.IndexOf(expr.column_name());
@@ -28,67 +34,59 @@ Status CheckExprType(const Expr& expr, const Schema& input, TypeId* out) {
         return Status::InvalidArgument("unknown column: " +
                                        expr.column_name());
       }
-      return ok(input.field(idx).type);
+      *out = input.field(idx).type;
+      return Status::OK();
     }
-    case ExprKind::kLiteral: {
+    case ExprKind::kLiteral:
       if (std::holds_alternative<std::monostate>(expr.literal())) {
         return ExprError(expr, "null literal (engine is NULL-free)");
       }
-      return ok(DatumType(expr.literal()));
-    }
+      *out = DatumType(expr.literal());
+      return Status::OK();
     case ExprKind::kParam:
       return Status::InvalidArgument("unbound parameter: $" +
                                      expr.param_name());
     case ExprKind::kCompare: {
-      TypeId l, r;
-      RDB_RETURN_NOT_OK(CheckExprType(*expr.children()[0], input, &l));
-      RDB_RETURN_NOT_OK(CheckExprType(*expr.children()[1], input, &r));
+      const TypeId l = kid_types[0], r = kid_types[1];
       if ((l == TypeId::kString) != (r == TypeId::kString)) {
         return ExprError(expr,
                          StrFormat("type mismatch: cannot compare %s to %s",
                                    TypeName(l), TypeName(r)));
       }
-      return ok(TypeId::kBool);
+      *out = TypeId::kBool;
+      return Status::OK();
     }
-    case ExprKind::kLogical: {
-      for (const auto& c : expr.children()) {
-        TypeId t;
-        RDB_RETURN_NOT_OK(CheckExprType(*c, input, &t));
-        if (t != TypeId::kBool) {
+    case ExprKind::kLogical:
+      for (size_t i = 0; i < expr.children().size(); ++i) {
+        if (kid_types[i] != TypeId::kBool) {
           return ExprError(expr, "logical operand is not boolean");
         }
       }
-      return ok(TypeId::kBool);
-    }
-    case ExprKind::kArith: {
-      TypeId l, r;
-      RDB_RETURN_NOT_OK(CheckExprType(*expr.children()[0], input, &l));
-      RDB_RETURN_NOT_OK(CheckExprType(*expr.children()[1], input, &r));
-      if (!IsNumeric(l) || !IsNumeric(r)) {
+      *out = TypeId::kBool;
+      return Status::OK();
+    case ExprKind::kArith:
+      if (!IsNumeric(kid_types[0]) || !IsNumeric(kid_types[1])) {
         return ExprError(expr, "arithmetic on non-numeric operand");
       }
-      return ok(ArithResultType(l, r));
-    }
+      *out = ArithResultType(kid_types[0], kid_types[1]);
+      return Status::OK();
     case ExprKind::kFunc: {
       const std::string& fn = expr.func_name();
       if (fn == "year" || fn == "month") {
         if (expr.children().size() != 1) {
           return ExprError(expr, fn + " takes one argument");
         }
-        TypeId t;
-        RDB_RETURN_NOT_OK(CheckExprType(*expr.children()[0], input, &t));
-        if (t != TypeId::kDate && t != TypeId::kInt32) {
+        if (kid_types[0] != TypeId::kDate && kid_types[0] != TypeId::kInt32) {
           return ExprError(expr, fn + " argument must be a date");
         }
-        return ok(TypeId::kInt32);
+        *out = TypeId::kInt32;
+        return Status::OK();
       }
       if (fn == "bin") {
         if (expr.children().size() != 2) {
           return ExprError(expr, "bin takes (value, width)");
         }
-        TypeId t;
-        RDB_RETURN_NOT_OK(CheckExprType(*expr.children()[0], input, &t));
-        if (!IsNumeric(t)) {
+        if (!IsNumeric(kid_types[0])) {
           return ExprError(expr, "bin value must be numeric");
         }
         const Expr& width = *expr.children()[1];
@@ -99,45 +97,55 @@ Status CheckExprType(const Expr& expr, const Schema& input, TypeId* out) {
             DatumAsInt64(width.literal()) <= 0) {
           return ExprError(expr, "bin width must be a positive number");
         }
-        return ok(TypeId::kInt64);
+        *out = TypeId::kInt64;
+        return Status::OK();
       }
       return ExprError(expr, "unknown function: " + fn);
     }
     case ExprKind::kCase: {
-      TypeId c, t, e;
-      RDB_RETURN_NOT_OK(CheckExprType(*expr.children()[0], input, &c));
-      if (c != TypeId::kBool) {
+      const TypeId t = kid_types[1], e = kid_types[2];
+      if (kid_types[0] != TypeId::kBool) {
         return ExprError(expr, "CASE condition is not boolean");
       }
-      RDB_RETURN_NOT_OK(CheckExprType(*expr.children()[1], input, &t));
-      RDB_RETURN_NOT_OK(CheckExprType(*expr.children()[2], input, &e));
       if (t != e && (!IsNumeric(t) || !IsNumeric(e))) {
         return ExprError(expr, "CASE branch type mismatch");
       }
-      return ok(CaseResultType(t, e));
+      *out = CaseResultType(t, e);
+      return Status::OK();
     }
     case ExprKind::kInList: {
-      TypeId t;
-      RDB_RETURN_NOT_OK(CheckExprType(*expr.children()[0], input, &t));
+      const bool strings = kid_types[0] == TypeId::kString;
       for (const auto& v : expr.in_values()) {
-        bool v_string = DatumType(v) == TypeId::kString;
         if (std::holds_alternative<std::monostate>(v) ||
-            v_string != (t == TypeId::kString)) {
+            (DatumType(v) == TypeId::kString) != strings) {
           return ExprError(expr, "IN list value type mismatch");
         }
       }
-      return ok(TypeId::kBool);
+      *out = TypeId::kBool;
+      return Status::OK();
     }
-    case ExprKind::kLike: {
-      TypeId t;
-      RDB_RETURN_NOT_OK(CheckExprType(*expr.children()[0], input, &t));
-      if (t != TypeId::kString) {
+    case ExprKind::kLike:
+      if (kid_types[0] != TypeId::kString) {
         return ExprError(expr, "LIKE operand must be a string");
       }
-      return ok(TypeId::kBool);
-    }
+      *out = TypeId::kBool;
+      return Status::OK();
   }
   return Status::Internal("bad expression kind");
+}
+
+Status CheckExprType(const Expr& expr, const Schema& input, TypeId* out) {
+  TypeId kid_types[3] = {};
+  const std::vector<ExprPtr>& kids = expr.children();
+  for (size_t i = 0; i < kids.size(); ++i) {
+    TypeId t;
+    RDB_RETURN_NOT_OK(CheckExprType(*kids[i], input, &t));
+    if (i < 3) kid_types[i] = t;  // wider nodes fail their arity rule
+  }
+  TypeId t;
+  RDB_RETURN_NOT_OK(CheckExprNode(expr, kid_types, input, &t));
+  if (out != nullptr) *out = t;
+  return Status::OK();
 }
 
 namespace {
@@ -150,24 +158,10 @@ Status NodeError(const PlanNode& node, const Status& cause) {
   return NodeError(node, cause.message());
 }
 
-Status ValidateNode(const PlanNode& node, const Catalog& catalog,
-                    Schema* out) {
-  // A bound subtree already passed these checks (the facade validates
-  // before binding; internal generators construct valid plans). This is
-  // what makes re-executing a prepared statement cheap: only the freshly
-  // substituted parameterized spine is walked.
-  if (node.bound()) {
-    *out = node.output_schema();
-    return Status::OK();
-  }
-  std::vector<Schema> child_schemas;
-  child_schemas.reserve(node.children().size());
-  for (const auto& c : node.children()) {
-    Schema s;
-    RDB_RETURN_NOT_OK(ValidateNode(*c, catalog, &s));
-    child_schemas.push_back(std::move(s));
-  }
+}  // namespace
 
+Status CheckPlanNode(const PlanNode& node, const Schema* const* child_schemas,
+                     const Catalog& catalog, Schema* out) {
   switch (node.type()) {
     case OpType::kScan: {
       TablePtr t = catalog.GetTable(node.table_name());
@@ -178,6 +172,7 @@ Status ValidateNode(const PlanNode& node, const Catalog& catalog,
         return NodeError(node, "scan selects no columns");
       }
       std::vector<Field> fields;
+      fields.reserve(node.scan_columns().size());
       for (const auto& col : node.scan_columns()) {
         int idx = t->schema().IndexOf(col);
         if (idx < 0) {
@@ -237,12 +232,12 @@ Status ValidateNode(const PlanNode& node, const Catalog& catalog,
     }
     case OpType::kSelect: {
       TypeId t;
-      Status st = CheckExprType(*node.predicate(), child_schemas[0], &t);
+      Status st = CheckExprType(*node.predicate(), *child_schemas[0], &t);
       if (!st.ok()) return NodeError(node, st);
       if (t != TypeId::kBool) {
         return NodeError(node, "filter predicate is not boolean");
       }
-      *out = child_schemas[0];
+      *out = *child_schemas[0];
       return Status::OK();
     }
     case OpType::kProject: {
@@ -250,9 +245,10 @@ Status ValidateNode(const PlanNode& node, const Catalog& catalog,
         return NodeError(node, "projection computes no columns");
       }
       std::vector<Field> fields;
+      fields.reserve(node.projections().size());
       for (const auto& item : node.projections()) {
         TypeId t;
-        Status st = CheckExprType(*item.expr, child_schemas[0], &t);
+        Status st = CheckExprType(*item.expr, *child_schemas[0], &t);
         if (!st.ok()) return NodeError(node, st);
         fields.push_back({item.out_name, t});
       }
@@ -260,8 +256,9 @@ Status ValidateNode(const PlanNode& node, const Catalog& catalog,
       return Status::OK();
     }
     case OpType::kAggregate: {
-      const Schema& in = child_schemas[0];
+      const Schema& in = *child_schemas[0];
       std::vector<Field> fields;
+      fields.reserve(node.group_by().size() + node.aggregates().size());
       for (const auto& g : node.group_by()) {
         int idx = in.IndexOf(g);
         if (idx < 0) return NodeError(node, "unknown group-by column: " + g);
@@ -282,8 +279,8 @@ Status ValidateNode(const PlanNode& node, const Catalog& catalog,
       return Status::OK();
     }
     case OpType::kHashJoin: {
-      const Schema& l = child_schemas[0];
-      const Schema& r = child_schemas[1];
+      const Schema& l = *child_schemas[0];
+      const Schema& r = *child_schemas[1];
       if (node.left_keys().empty() ||
           node.left_keys().size() != node.right_keys().size()) {
         return NodeError(node, "join key lists must be non-empty and equal "
@@ -310,7 +307,9 @@ Status ValidateNode(const PlanNode& node, const Catalog& catalog,
                               TypeName(r.field(ri).type)));
         }
       }
-      std::vector<Field> fields = l.fields();
+      std::vector<Field> fields;
+      fields.reserve(l.num_fields() + r.num_fields());
+      fields.insert(fields.end(), l.fields().begin(), l.fields().end());
       if (node.join_kind() == JoinKind::kInner ||
           node.join_kind() == JoinKind::kLeftOuter ||
           node.join_kind() == JoinKind::kSingle) {
@@ -327,28 +326,29 @@ Status ValidateNode(const PlanNode& node, const Catalog& catalog,
     case OpType::kOrderBy:
     case OpType::kTopN: {
       for (const auto& k : node.sort_keys()) {
-        if (child_schemas[0].IndexOf(k.column) < 0) {
+        if (child_schemas[0]->IndexOf(k.column) < 0) {
           return NodeError(node, "unknown sort column: " + k.column);
         }
       }
       if (node.type() == OpType::kTopN && node.limit() <= 0) {
         return NodeError(node, "top-N limit must be positive");
       }
-      *out = child_schemas[0];
+      *out = *child_schemas[0];
       return Status::OK();
     }
     case OpType::kLimit:
       if (node.limit() < 0) {
         return NodeError(node, "limit must be non-negative");
       }
-      *out = child_schemas[0];
+      *out = *child_schemas[0];
       return Status::OK();
     case OpType::kUnionAll: {
-      if (child_schemas.empty()) {
+      if (node.children().empty()) {
         return NodeError(node, "union has no children");
       }
-      const Schema& first = child_schemas[0];
-      for (const auto& s : child_schemas) {
+      const Schema& first = *child_schemas[0];
+      for (size_t c = 1; c < node.children().size(); ++c) {
+        const Schema& s = *child_schemas[c];
         if (s.num_fields() != first.num_fields()) {
           return NodeError(node, "union children arity mismatch");
         }
@@ -371,6 +371,7 @@ Status ValidateNode(const PlanNode& node, const Catalog& catalog,
         return NodeError(node, "cached scan column-rename arity mismatch");
       }
       std::vector<Field> fields;
+      fields.reserve(cached.num_fields());
       for (int i = 0; i < cached.num_fields(); ++i) {
         fields.push_back({node.scan_columns()[i], cached.field(i).type});
       }
@@ -381,14 +382,42 @@ Status ValidateNode(const PlanNode& node, const Catalog& catalog,
   return Status::Internal("bad plan operator");
 }
 
+namespace {
+
+/// Checks the unbound part of `node`'s subtree and points `*out` at its
+/// output schema: the node's own when bound (a bound subtree already
+/// passed the rules, which is what keeps re-executing a prepared
+/// statement cheap: only the freshly substituted spine is walked), else
+/// `*scratch`, filled by the rule.
+Status ValidateNode(const PlanNode& node, const Catalog& catalog,
+                    Schema* scratch, const Schema** out) {
+  if (node.bound()) {
+    *out = &node.output_schema();
+    return Status::OK();
+  }
+  const std::vector<PlanPtr>& children = node.children();
+  ChildSlots<Schema> owned(children.size());
+  ChildSlots<const Schema*> kids(children.size());
+  for (size_t i = 0; i < children.size(); ++i) {
+    RDB_RETURN_NOT_OK(ValidateNode(*children[i], catalog, &owned.data()[i],
+                                   &kids.data()[i]));
+  }
+  RDB_RETURN_NOT_OK(CheckPlanNode(node, kids.data(), catalog, scratch));
+  *out = scratch;
+  return Status::OK();
+}
+
 }  // namespace
 
 Status ValidatePlan(const PlanPtr& plan, const Catalog& catalog,
                     Schema* out_schema) {
   if (plan == nullptr) return Status::InvalidArgument("plan is null");
-  Schema schema;
-  RDB_RETURN_NOT_OK(ValidateNode(*plan, catalog, &schema));
-  if (out_schema != nullptr) *out_schema = std::move(schema);
+  Schema scratch;
+  const Schema* schema = nullptr;
+  RDB_RETURN_NOT_OK(ValidateNode(*plan, catalog, &scratch, &schema));
+  if (out_schema != nullptr) {
+    *out_schema = schema == &scratch ? std::move(scratch) : *schema;
+  }
   return Status::OK();
 }
 

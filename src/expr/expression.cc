@@ -105,52 +105,6 @@ TypeId ArithResultType(TypeId l, TypeId r) {
   return TypeId::kInt32;
 }
 
-TypeId CaseResultType(TypeId then_type, TypeId else_type) {
-  if (then_type == else_type) return then_type;
-  if (then_type == TypeId::kDouble || else_type == TypeId::kDouble) {
-    return TypeId::kDouble;
-  }
-  return TypeId::kInt64;
-}
-
-TypeId Expr::DeduceType(const Schema& input) const {
-  switch (kind_) {
-    case ExprKind::kColumnRef: {
-      int idx = input.IndexOf(name_);
-      RDB_CHECK_MSG(idx >= 0, ("unbound column: " + name_).c_str());
-      return input.field(idx).type;
-    }
-    case ExprKind::kLiteral:
-      return DatumType(literal_);
-    case ExprKind::kParam:
-      RDB_UNREACHABLE(("unbound parameter: $" + name_).c_str());
-    case ExprKind::kCompare:
-    case ExprKind::kLogical:
-    case ExprKind::kInList:
-    case ExprKind::kLike:
-      return TypeId::kBool;
-    case ExprKind::kArith: {
-      TypeId l = children_[0]->DeduceType(input);
-      TypeId r = children_[1]->DeduceType(input);
-      RDB_CHECK_MSG(IsNumeric(l) && IsNumeric(r), "arith on non-numeric");
-      return ArithResultType(l, r);
-    }
-    case ExprKind::kFunc: {
-      if (name_ == "year" || name_ == "month") return TypeId::kInt32;
-      if (name_ == "bin") return TypeId::kInt64;
-      RDB_UNREACHABLE(("unknown function: " + name_).c_str());
-    }
-    case ExprKind::kCase: {
-      TypeId t = children_[1]->DeduceType(input);
-      TypeId e = children_[2]->DeduceType(input);
-      RDB_CHECK_MSG(t == e || (IsNumeric(t) && IsNumeric(e)),
-                    "CASE branch type mismatch");
-      return CaseResultType(t, e);
-    }
-  }
-  RDB_UNREACHABLE("bad expr kind");
-}
-
 void Expr::CollectColumns(std::set<std::string>* out) const {
   if (kind_ == ExprKind::kColumnRef) {
     out->insert(name_);

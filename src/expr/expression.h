@@ -95,10 +95,6 @@ class Expr : public std::enable_shared_from_this<Expr> {
   const std::vector<ExprPtr>& children() const { return children_; }
 
   // ---- analysis -------------------------------------------------------
-  /// Deduces the result type against `input`; RDB_CHECK-fails on unbound
-  /// columns or type errors. Pure (no caching), cheap.
-  TypeId DeduceType(const Schema& input) const;
-
   /// Adds every referenced column name to `out`.
   void CollectColumns(std::set<std::string>* out) const;
 
@@ -149,11 +145,6 @@ class Expr : public std::enable_shared_from_this<Expr> {
 /// Result type of arithmetic over numeric operands: double if either is
 /// double, else int64 if either is int64, else int32 (dates read as int32).
 TypeId ArithResultType(TypeId l, TypeId r);
-
-/// Result type of CASE branches typed `then_type` and `else_type`: the
-/// shared type when equal, else (numeric branches) double if either is
-/// double, else int64.
-TypeId CaseResultType(TypeId then_type, TypeId else_type);
 
 /// Splits a predicate into its top-level AND conjuncts.
 /// Used by the tuple-subsumption rule (cached conjunct-subset detection).

@@ -4,6 +4,7 @@
 #include <string>
 #include <type_traits>
 
+#include "api/validate.h"
 #include "common/macros.h"
 #include "common/string_util.h"
 #include "expr/scalar.h"
@@ -253,82 +254,47 @@ int ExprProgram::Compile(const Expr& expr, const Schema& input) {
   Node* nd = &nodes_.emplace_back();
   nd->kind = expr.kind();
   const std::vector<ExprPtr>& kids = expr.children();
-  RDB_CHECK(kids.size() <= 3);
-  for (size_t i = 0; i < kids.size(); ++i) {
+  // A node has three kid slots; the typing rule rejects any wider node.
+  TypeId kid_types[3] = {};
+  for (size_t i = 0; i < kids.size() && i < 3; ++i) {
     nd->kids[i] = Compile(*kids[i], input);
+    kid_types[i] = nodes_[nd->kids[i]].type;
   }
-  auto kid_type = [&](int i) { return nodes_[nd->kids[i]].type; };
+  const Status st = CheckExprNode(expr, kid_types, input, &nd->type);
+  RDB_CHECK_MSG(st.ok(), st.message().c_str());
   switch (expr.kind()) {
-    case ExprKind::kColumnRef: {
+    case ExprKind::kColumnRef:
       nd->column = input.IndexOf(expr.column_name());
-      RDB_CHECK_MSG(nd->column >= 0,
-                    ("unbound column: " + expr.column_name()).c_str());
-      nd->type = input.field(nd->column).type;
       break;
-    }
     case ExprKind::kLiteral:
       nd->literal = expr.literal();
-      nd->type = DatumType(nd->literal);
       break;
-    case ExprKind::kParam:
-      RDB_UNREACHABLE(("unbound parameter: $" + expr.param_name()).c_str());
     case ExprKind::kCompare:
-      RDB_CHECK_MSG((kid_type(0) == TypeId::kString) ==
-                        (kid_type(1) == TypeId::kString),
-                    "comparing string with non-string");
       nd->compare_op = expr.compare_op();
-      nd->type = TypeId::kBool;
       break;
     case ExprKind::kLogical:
-      for (size_t i = 0; i < kids.size(); ++i) {
-        RDB_CHECK_MSG(kid_type(static_cast<int>(i)) == TypeId::kBool,
-                      "logical operand is not boolean");
-      }
       nd->logical_op = expr.logical_op();
-      nd->type = TypeId::kBool;
       break;
     case ExprKind::kArith:
-      RDB_CHECK_MSG(IsNumeric(kid_type(0)) && IsNumeric(kid_type(1)),
-                    "arith on non-numeric");
       nd->arith_op = expr.arith_op();
-      nd->type = ArithResultType(kid_type(0), kid_type(1));
       break;
-    case ExprKind::kFunc: {
-      const std::string& fn = expr.func_name();
-      if (fn == "year" || fn == "month") {
-        RDB_CHECK(kids.size() == 1 && (kid_type(0) == TypeId::kDate ||
-                                       kid_type(0) == TypeId::kInt32));
-        nd->func = fn == "year" ? FuncId::kYear : FuncId::kMonth;
-        nd->type = TypeId::kInt32;
-      } else if (fn == "bin") {
+    case ExprKind::kFunc:
+      if (expr.func_name() == "bin") {
         // bin(value, width): floor(value / width); width is a literal.
-        RDB_CHECK(kids.size() == 2 && kid_type(0) != TypeId::kString &&
-                  kids[1]->kind() == ExprKind::kLiteral);
         nd->func = FuncId::kBin;
         nd->bin_width = DatumAsInt64(kids[1]->literal());
-        RDB_CHECK(nd->bin_width > 0);
-        nd->type = TypeId::kInt64;
       } else {
-        RDB_UNREACHABLE(("unknown function: " + fn).c_str());
+        nd->func = expr.func_name() == "year" ? FuncId::kYear : FuncId::kMonth;
       }
       break;
-    }
-    case ExprKind::kCase: {
-      const TypeId t = kid_type(1), e = kid_type(2);
-      RDB_CHECK_MSG(kid_type(0) == TypeId::kBool, "CASE condition not boolean");
-      RDB_CHECK_MSG(t == e || (IsNumeric(t) && IsNumeric(e)),
-                    "CASE branch type mismatch");
-      nd->type = CaseResultType(t, e);
+    case ExprKind::kParam:  // rejected by the rule
+    case ExprKind::kCase:   // no operands beyond its kids
       break;
-    }
-    case ExprKind::kInList: {
+    case ExprKind::kInList:
       // Numeric IN is the OR of `=` over the list, so it compares through
       // double like `=` does.
-      const bool strings = kid_type(0) == TypeId::kString;
       for (const Datum& v : expr.in_values()) {
-        RDB_CHECK_MSG(v.index() != 0 && (v.index() == 5) == strings,
-                      "IN list value type mismatch");
-        if (strings) {
+        if (kid_types[0] == TypeId::kString) {
           nd->in_strings.push_back(std::get<std::string>(v));
         } else if (double d = DatumAsDouble(v); d == d) {
           nd->in_numbers.push_back(d);
@@ -336,15 +302,10 @@ int ExprProgram::Compile(const Expr& expr, const Schema& input) {
       }
       std::sort(nd->in_strings.begin(), nd->in_strings.end());
       std::sort(nd->in_numbers.begin(), nd->in_numbers.end());
-      nd->type = TypeId::kBool;
       break;
-    }
     case ExprKind::kLike:
-      RDB_CHECK_MSG(kid_type(0) == TypeId::kString,
-                    "LIKE operand must be a string");
       nd->like_kind = expr.like_kind();
       nd->pattern = expr.like_pattern();
-      nd->type = TypeId::kBool;
       break;
   }
   return id;

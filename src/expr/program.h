@@ -29,14 +29,15 @@ struct Operand;
 /// immutable and shareable.
 class ExprProgram {
  public:
-  /// Compiles `expr` against `input`. Aborts like Expr::DeduceType on
-  /// unbound columns, unbound parameters and type errors (validation
-  /// rejects those before execution).
+  /// Compiles `expr` against `input`, typing each node through
+  /// CheckExprNode (api/validate.h). Aborts when a node fails its rule:
+  /// validation rejects such expressions before execution, so compiling
+  /// one is a programmer error.
   ExprProgram(const Expr& expr, const Schema& input);
   ~ExprProgram();
   ExprProgram(ExprProgram&&) noexcept;
 
-  /// Result type (Expr::DeduceType of the compiled expression).
+  /// Result type (CheckExprType of the compiled expression).
   TypeId type() const;
 
   /// Evaluates every row of `batch` (laid out per the compile schema).

@@ -68,7 +68,7 @@ struct ManifestEntry {
 };
 
 /// A table invalidation to be applied fleet-wide. `unversioned_only`
-/// distinguishes an append (only unstamped v1/v2 images are
+/// distinguishes an append (only images without row stamps are
 /// indistinguishable from stale) from a replace (everything over the
 /// table must go).
 struct ManifestPurge {

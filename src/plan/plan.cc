@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "api/validate.h"
 #include "common/hash.h"
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -173,120 +174,20 @@ const Schema& PlanNode::output_schema() const {
 
 void PlanNode::Bind(const Catalog& catalog) {
   if (bound_) return;
-  for (auto& c : children_) c->Bind(catalog);
+  ChildSlots<const Schema*> kids(children_.size());
   base_tables_.clear();
-  for (const auto& c : children_) {
-    base_tables_.insert(c->base_tables_.begin(), c->base_tables_.end());
+  for (size_t i = 0; i < children_.size(); ++i) {
+    PlanNode& c = *children_[i];
+    c.Bind(catalog);
+    kids.data()[i] = &c.output_schema_;
+    base_tables_.insert(c.base_tables_.begin(), c.base_tables_.end());
   }
-  switch (type_) {
-    case OpType::kScan: {
-      TablePtr t = catalog.GetTable(table_);
-      RDB_CHECK_MSG(t != nullptr, ("unknown table: " + table_).c_str());
-      std::vector<Field> fields;
-      for (const auto& col : columns_) {
-        int idx = t->schema().IndexOfChecked(col);
-        fields.push_back(t->schema().field(idx));
-      }
-      output_schema_ = Schema(std::move(fields));
-      base_tables_.insert(table_);
-      break;
-    }
-    case OpType::kFunctionScan: {
-      RDB_CHECK_MSG(arg_exprs_.empty(),
-                    "FunctionScan template has unresolved parameters; "
-                    "SubstituteParams must run before Bind");
-      const TableFunction* fn = TableFunctionRegistry::Global().Get(table_);
-      RDB_CHECK_MSG(fn != nullptr, ("unknown function: " + table_).c_str());
-      output_schema_ = fn->schema_fn(args_);
-      base_tables_.insert(fn->base_tables.begin(), fn->base_tables.end());
-      break;
-    }
-    case OpType::kSelect: {
-      TypeId t = predicate_->DeduceType(children_[0]->output_schema());
-      RDB_CHECK_MSG(t == TypeId::kBool, "selection predicate must be bool");
-      output_schema_ = children_[0]->output_schema();
-      break;
-    }
-    case OpType::kProject: {
-      const Schema& in = children_[0]->output_schema();
-      std::vector<Field> fields;
-      for (const auto& item : projections_) {
-        fields.push_back({item.out_name, item.expr->DeduceType(in)});
-      }
-      output_schema_ = Schema(std::move(fields));
-      break;
-    }
-    case OpType::kAggregate: {
-      const Schema& in = children_[0]->output_schema();
-      std::vector<Field> fields;
-      for (const auto& g : group_by_) {
-        fields.push_back(in.field(in.IndexOfChecked(g)));
-      }
-      for (const auto& a : aggregates_) {
-        TypeId arg_type = a.arg->DeduceType(in);
-        fields.push_back({a.out_name, AggResultType(a.fn, arg_type)});
-      }
-      output_schema_ = Schema(std::move(fields));
-      break;
-    }
-    case OpType::kHashJoin: {
-      const Schema& l = children_[0]->output_schema();
-      const Schema& r = children_[1]->output_schema();
-      RDB_CHECK(left_keys_.size() == right_keys_.size() &&
-                !left_keys_.empty());
-      for (size_t i = 0; i < left_keys_.size(); ++i) {
-        l.IndexOfChecked(left_keys_[i]);
-        r.IndexOfChecked(right_keys_[i]);
-      }
-      std::vector<Field> fields = l.fields();
-      if (join_kind_ == JoinKind::kInner ||
-          join_kind_ == JoinKind::kLeftOuter ||
-          join_kind_ == JoinKind::kSingle) {
-        for (const auto& f : r.fields()) {
-          RDB_CHECK_MSG(!l.Has(f.name),
-                        ("duplicate join output column: " + f.name).c_str());
-          fields.push_back(f);
-        }
-      }
-      output_schema_ = Schema(std::move(fields));
-      break;
-    }
-    case OpType::kOrderBy:
-    case OpType::kTopN: {
-      const Schema& in = children_[0]->output_schema();
-      for (const auto& k : sort_keys_) in.IndexOfChecked(k.column);
-      output_schema_ = in;
-      break;
-    }
-    case OpType::kLimit:
-      output_schema_ = children_[0]->output_schema();
-      break;
-    case OpType::kUnionAll: {
-      RDB_CHECK(!children_.empty());
-      const Schema& first = children_[0]->output_schema();
-      for (const auto& c : children_) {
-        const Schema& s = c->output_schema();
-        RDB_CHECK_MSG(s.num_fields() == first.num_fields(),
-                      "union children arity mismatch");
-        for (int i = 0; i < s.num_fields(); ++i) {
-          RDB_CHECK_MSG(s.field(i).type == first.field(i).type,
-                        "union children type mismatch");
-        }
-      }
-      output_schema_ = first;
-      break;
-    }
-    case OpType::kCachedScan: {
-      RDB_CHECK(cached_ != nullptr);
-      RDB_CHECK(static_cast<int>(columns_.size()) ==
-                cached_->schema().num_fields());
-      std::vector<Field> fields;
-      for (int i = 0; i < cached_->schema().num_fields(); ++i) {
-        fields.push_back({columns_[i], cached_->schema().field(i).type});
-      }
-      output_schema_ = Schema(std::move(fields));
-      break;
-    }
+  const Status st = CheckPlanNode(*this, kids.data(), catalog, &output_schema_);
+  RDB_CHECK_MSG(st.ok(), st.message().c_str());
+  if (type_ == OpType::kScan) base_tables_.insert(table_);
+  if (type_ == OpType::kFunctionScan) {
+    const TableFunction* fn = TableFunctionRegistry::Global().Get(table_);
+    base_tables_.insert(fn->base_tables.begin(), fn->base_tables.end());
   }
   bound_ = true;
 }

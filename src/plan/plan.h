@@ -148,11 +148,12 @@ class PlanNode : public std::enable_shared_from_this<PlanNode> {
   const std::set<std::string>& base_tables() const { return base_tables_; }
 
   // ---- binding ----------------------------------------------------------
-  /// Resolves output schemas bottom-up and validates column references.
-  /// Idempotent. RDB_CHECK-fails on invalid plans (programmer error: plans
-  /// are produced by our own generators). Embedders building plans through
-  /// the public API get recoverable Status errors from ValidatePlan
-  /// (api/validate.h) before this runs.
+  /// Resolves output schemas bottom-up through the shape rules of
+  /// api/validate.h and records base tables. Idempotent. RDB_CHECK-fails
+  /// on invalid plans (programmer error: plans are produced by our own
+  /// generators). Embedders building plans through the public API get the
+  /// same rules' recoverable Status errors from ValidatePlan before this
+  /// runs.
   void Bind(const Catalog& catalog);
 
   // ---- parameterized templates ------------------------------------------

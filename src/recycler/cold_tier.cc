@@ -116,7 +116,6 @@ Status ColdTier::Open(const ColdTierOptions& options) {
   read_only_ = options.read_only;
   instance_ = options.instance_id;
   lease_ms_ = options.lease_ms;
-  async_ = options.async_spill && !options.read_only;
   if (shared_ && !read_only_ && instance_.empty()) {
     return Status::InvalidArgument(
         "shared cold tier requires a non-empty instance id");
@@ -225,9 +224,7 @@ Status ColdTier::Open(const ColdTierOptions& options) {
 
   enabled_ = true;
   if (shared_ && !read_only_) SyncManifestLocked();
-  if (async_) {
-    worker_ = std::thread([this] { WorkerLoop(); });
-  }
+  if (!read_only_) worker_ = std::thread([this] { WorkerLoop(); });
   return Status::OK();
 }
 
@@ -276,9 +273,7 @@ bool ColdTier::EntrySizes(const RGNode* node, int64_t* stored_bytes,
   auto it = live_.find(node);
   if (it == live_.end()) return false;
   *stored_bytes = it->second->bytes;
-  // v1 files predate the raw_bytes header field; stored == raw there.
-  *raw_bytes = it->second->meta.raw_bytes > 0 ? it->second->meta.raw_bytes
-                                              : it->second->bytes;
+  *raw_bytes = it->second->meta.raw_bytes;
   return true;
 }
 
@@ -355,50 +350,10 @@ bool ColdTier::CommitSpillLocked(const RGNode* node,
   return true;
 }
 
-bool ColdTier::Spill(const RGNode* node, const std::string& canon_key,
-                     const Table& table, const SpillFileMeta& meta,
-                     std::vector<const RGNode*>* dropped_nodes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_ || read_only_) return false;
-  if (live_.count(node) > 0) return true;  // image already on disk
-
-  // Write the fresh image BEFORE superseding any leftover entry under
-  // the same key (an unadopted orphan from a prior incarnation of this
-  // result): a failed write — disk full is the likely case — must not
-  // destroy a still-valid image.
-  const std::string path = FilePath(HashString(canon_key));
-  SpillWriteOptions wopts;
-  wopts.compress = compress_;
-  SpillFileMeta stored = meta;
-  if (!WriteSpillFile(path, table, stored, wopts).ok()) return false;
-  // Re-read the stamped header so the in-memory copy carries the
-  // writer-computed raw_bytes (compression-ratio accounting).
-  if (!ReadSpillMeta(path, &stored).ok()) stored = meta;
-  std::error_code ec;
-  int64_t bytes = static_cast<int64_t>(fs::file_size(path, ec));
-  if (ec) bytes = table.ByteSize();
-  if (!CommitSpillLocked(node, canon_key, path, bytes, std::move(stored),
-                         dropped_nodes)) {
-    return false;
-  }
-  if (manifest_dirty_) SyncManifestLocked();
-  if (spilled_cb_) {
-    int64_t raw = 0, stored_bytes = 0;
-    auto it = live_.find(node);
-    if (it != live_.end()) {
-      stored_bytes = it->second->bytes;
-      raw = it->second->meta.raw_bytes > 0 ? it->second->meta.raw_bytes
-                                           : it->second->bytes;
-    }
-    spilled_cb_(node, stored_bytes, raw);
-  }
-  return true;
-}
-
 bool ColdTier::SpillAsync(const RGNode* node, const std::string& canon_key,
                           TablePtr snapshot, const SpillFileMeta& meta) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!enabled_ || read_only_ || !async_) return false;
+  if (!enabled_ || read_only_) return false;
   if (live_.count(node) > 0 || pending_by_node_.count(node) > 0) return true;
   if (snapshot == nullptr) return false;
   if (snapshot->ByteSize() > capacity_bytes_) return false;  // can never fit
@@ -430,13 +385,14 @@ void ColdTier::WorkerLoop() {
     PendingSpill& ps = inflight.front();
     const RGNode* node = ps.node;
     const std::string path = FilePath(HashString(ps.canon_key));
-    SpillWriteOptions wopts;
-    wopts.compress = compress_;
+    const bool compress = compress_;
     SpillFileMeta stored = ps.meta;
     TablePtr snapshot = ps.snapshot;
 
     lock.unlock();
-    const bool wrote = WriteSpillFile(path, *snapshot, stored, wopts).ok();
+    const bool wrote = WriteSpillFile(path, *snapshot, stored, compress).ok();
+    // Re-read the stamped header so the in-memory copy carries the
+    // writer-computed raw_bytes (compression-ratio accounting).
     if (wrote && !ReadSpillMeta(path, &stored).ok()) stored = ps.meta;
     std::error_code ec;
     int64_t bytes = wrote ? static_cast<int64_t>(fs::file_size(path, ec)) : 0;
@@ -462,7 +418,7 @@ void ColdTier::WorkerLoop() {
           CommitSpillLocked(node, ps.canon_key, path, bytes, stored, &dropped);
       if (committed) {
         cb_stored = bytes;
-        cb_raw = stored.raw_bytes > 0 ? stored.raw_bytes : bytes;
+        cb_raw = stored.raw_bytes;
       } else {
         dropped.push_back(node);
       }
@@ -483,7 +439,6 @@ void ColdTier::WorkerLoop() {
 
 void ColdTier::Drain() {
   std::unique_lock<std::mutex> lock(mu_);
-  if (!async_) return;
   drain_cv_.wait(lock, [this] { return pending_.empty() && !worker_busy_; });
 }
 
@@ -501,7 +456,11 @@ Status ColdTier::Load(const RGNode* node, TablePtr* out) {
     return Status::NotFound("no live cold-tier entry for node");
   }
   SpillFile file;
-  RDB_RETURN_NOT_OK(OpenSpillFile(it->second->path, &file));
+  if (Status st = OpenSpillFile(it->second->path, &file); !st.ok()) {
+    // A live entry whose file is gone (removed outside the tier) is dead,
+    // not swept: report it like a corrupt file so the caller drops it.
+    return Status::Internal(st.message());
+  }
   const std::string path = it->second->path;
   lock.unlock();
   SpillFileMeta meta;
@@ -848,10 +807,7 @@ ColdTierStats ColdTier::Stats() const {
   s.peer_entries = static_cast<int64_t>(peers_.size());
   s.pending_spills = static_cast<int64_t>(pending_.size());
   for (const std::list<Rec>* list : {&clock_, &peers_}) {
-    for (const Rec& r : *list) {
-      // v1 files predate the raw_bytes header field; stored == raw there.
-      s.raw_bytes += r.meta.raw_bytes > 0 ? r.meta.raw_bytes : r.bytes;
-    }
+    for (const Rec& r : *list) s.raw_bytes += r.meta.raw_bytes;
   }
   return s;
 }

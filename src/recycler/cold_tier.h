@@ -34,11 +34,10 @@
 // mount) opens adopt-only: every file is a peer orphan and nothing is
 // ever written.
 //
-// Spill I/O runs on a background worker when async mode is on
-// (ColdTierOptions::async_spill): SpillAsync enqueues the pinned result
-// snapshot and returns immediately, Load serves still-pending entries
-// straight from that snapshot (no miss window), and Drain() is the
-// barrier checkpoints and shutdown use. A failed or swept-while-pending
+// Spill I/O runs on a background worker: SpillAsync enqueues the pinned
+// result snapshot and returns immediately, Load serves still-pending
+// entries straight from that snapshot (no miss window), and Drain() is
+// the barrier checkpoints and shutdown use. A failed or swept-while-pending
 // spill reports the node through the drop callback, which runs with no
 // cold-tier lock held so the recycler can take its graph/cache locks to
 // demote.
@@ -47,9 +46,9 @@
 // after the recycler's graph/cache locks and never held across calls
 // back into them (lock order: graph mutex -> cache mutex -> cold-tier
 // mutex, with the mat shard mutex independent below the cache mutex;
-// see DESIGN.md "Cold tier"). Synchronous spill and load perform file
-// I/O under the mutex: both are slow paths by definition (an eviction
-// or a miss that would otherwise re-execute a subtree).
+// see DESIGN.md "Cold tier"). Loads open their file under the mutex and
+// read it after releasing it; spill writes run on the worker with the
+// mutex released.
 #pragma once
 
 #include <atomic>
@@ -80,7 +79,7 @@ struct ColdTierStats {
                               // owner's budget)
   int64_t capacity_bytes = 0;
   /// Uncompressed size of the stored entries (what used_bytes would be
-  /// without column compression; equals used_bytes for v1 files).
+  /// without column compression).
   int64_t raw_bytes = 0;
   /// Fleet mode: entries owned by other instances (tracked, adoptable,
   /// never swept locally).
@@ -98,7 +97,8 @@ struct ColdTierOptions {
   /// manifest + flock.
   bool shared = false;
   /// Adopt-only: never create, delete or lock anything in the directory
-  /// (standby on a read-only mount). Implies no spills.
+  /// (standby on a read-only mount). Implies no spills and no spill
+  /// worker.
   bool read_only = false;
   /// This process's identity in the manifest. Required non-empty when
   /// shared and writable.
@@ -106,8 +106,6 @@ struct ColdTierOptions {
   /// Liveness lease duration; an instance whose lease expires forfeits
   /// its entries to stale-lease takeover.
   int64_t lease_ms = 30000;
-  /// Run spill file writes on a background worker (SpillAsync).
-  bool async_spill = false;
 };
 
 class ColdTier {
@@ -145,14 +143,14 @@ class ColdTier {
   bool read_only() const { return read_only_; }
   const std::string& instance_id() const { return instance_; }
 
-  /// Whether Spill compresses columns (format v2 codec selection). Set
-  /// once at engine construction, before any Spill call.
+  /// Whether spills compress columns (per-column codec selection). Set
+  /// once at engine construction, before any spill.
   void set_compress(bool v) { compress_ = v; }
   bool compress() const { return compress_; }
 
-  /// Callback for entries dropped off the recycler's sync paths (async
-  /// spill failures and async-commit sweeps): invoked with NO cold-tier
-  /// lock held, so it may take the graph/cache locks to demote the
+  /// Callback for entries dropped off the recycler's paths (spill
+  /// failures and commit-time sweeps): invoked with NO cold-tier lock
+  /// held, so it may take the graph/cache locks to demote the
   /// nodes. Set once at engine construction.
   void set_drop_callback(
       std::function<void(const std::vector<const RGNode*>&)> cb) {
@@ -160,8 +158,8 @@ class ColdTier {
   }
 
   /// Callback invoked once per committed spill file with its on-disk
-  /// and uncompressed sizes (counter accounting; must only touch
-  /// atomics — it can run under the tier mutex on the sync path).
+  /// and uncompressed sizes (counter accounting). Runs on the spill
+  /// worker with no cold-tier lock held.
   void set_spilled_callback(
       std::function<void(const RGNode*, int64_t, int64_t)> cb) {
     spilled_cb_ = std::move(cb);
@@ -181,36 +179,30 @@ class ColdTier {
   bool EntrySizes(const RGNode* node, int64_t* stored_bytes,
                   int64_t* raw_bytes) const;
 
-  /// Writes `table` as `node`'s spill file (no-op true if one is already
-  /// live). Runs the second-chance sweep to fit the byte cap first;
-  /// evicted entries that belong to live nodes are appended to
-  /// `dropped_nodes` so the caller can demote their graph state. Returns
-  /// false when the result cannot fit (larger than the cap, or the sweep
-  /// could not free enough) or the write fails — the caller degrades to
-  /// memory-only behavior.
-  bool Spill(const RGNode* node, const std::string& canon_key,
-             const Table& table, const SpillFileMeta& meta,
-             std::vector<const RGNode*>* dropped_nodes);
-
-  /// Async variant: enqueues the pinned `snapshot` for the background
-  /// worker and returns immediately (true = accepted; the entry serves
-  /// loads from the snapshot until the file commits). Failures and
-  /// commit-time sweep victims are reported through the drop callback.
+  /// Enqueues the pinned `snapshot` as `node`'s spill file for the
+  /// background worker and returns immediately (true = accepted, or a
+  /// file is already live or pending; the entry serves loads from the
+  /// snapshot until the file commits). The worker runs the
+  /// second-chance sweep to fit the byte cap before committing. False
+  /// when the result can never fit or the tier is disabled or
+  /// read-only — the caller degrades to memory-only behavior. Write
+  /// failures and commit-time sweep victims are reported through the
+  /// drop callback.
   bool SpillAsync(const RGNode* node, const std::string& canon_key,
                   TablePtr snapshot, const SpillFileMeta& meta);
 
   /// Blocks until the async spill queue is empty and the worker idle
   /// (checkpoint/shutdown barrier; also used by deterministic tests).
   /// Callers must NOT hold the recycler's cache mutex: the worker's
-  /// drop callback acquires it. No-op when async mode is off.
+  /// drop callback acquires it.
   void Drain();
 
   /// Loads `node`'s spilled result and sets its second-chance bit; a
   /// pending async spill is served directly from its in-memory
   /// snapshot. NotFound when the node has no live entry (e.g. it was
   /// swept between the state check and the load); other errors mean a
-  /// corrupt file — the caller should Remove(node) and treat it as a
-  /// miss. The file is opened under the tier mutex but read and decoded
+  /// corrupt or vanished file — the caller should Remove(node) and treat
+  /// it as a miss. The file is opened under the tier mutex but read and decoded
   /// after releasing it, so concurrent loads, spill commits and sweeps
   /// do not queue behind one another's disk reads.
   Status Load(const RGNode* node, TablePtr* out);
@@ -221,9 +213,8 @@ class ColdTier {
   /// outside the tier mutex like Load and sets the second-chance bit on
   /// success. The slice is a partial result and must never be promoted
   /// to the hot tier or re-spilled by the caller.
-  /// Fails recoverably for v1 files (no encoded image to filter) and
-  /// for pending async spills (the caller falls back to the full
-  /// in-memory snapshot).
+  /// Fails recoverably for pending spills (the caller falls back to the
+  /// full in-memory snapshot).
   Status LoadSlice(const RGNode* node, int filter_column,
                    const ColumnInterval& range, TablePtr* out);
 
@@ -248,9 +239,10 @@ class ColdTier {
   void PurgeTable(const std::string& table,
                   std::vector<const RGNode*>* dropped_nodes);
 
-  /// Append-time variant of PurgeTable: deletes only entries over
-  /// `table` WITHOUT row stamps (v1/v2 images — indistinguishable from
-  /// stale under appends). Stamped (v3) entries survive: orphans
+  /// Append-time variant of PurgeTable: deletes only orphans over
+  /// `table` WITHOUT row stamps (images of unstamped nodes —
+  /// indistinguishable from stale under appends). Stamped entries
+  /// survive: orphans
   /// re-anchor their marks on adoption, and live entries are judged by
   /// the recycler against their in-memory stamps.
   void PurgeUnversionedOrphans(const std::string& table,
@@ -312,7 +304,7 @@ class ColdTier {
                   std::vector<const RGNode*>* dropped_nodes);
 
   /// Commits one written spill file into the maps (dedupe, sweep, link).
-  /// Shared tail of Spill and the async worker. Caller holds mu_.
+  /// Caller (the spill worker) holds mu_.
   bool CommitSpillLocked(const RGNode* node, const std::string& canon_key,
                          const std::string& path, int64_t bytes,
                          SpillFileMeta stored,
@@ -371,8 +363,7 @@ class ColdTier {
   /// Purges issued locally, to publish at the next manifest sync.
   std::vector<fleet::ManifestPurge> pending_purges_;
 
-  // --- async spill queue (guarded by mu_) ------------------------------
-  bool async_ = false;
+  // --- spill queue (guarded by mu_) ------------------------------------
   bool stop_worker_ = false;
   bool worker_busy_ = false;
   std::list<PendingSpill> pending_;

@@ -28,12 +28,17 @@ struct CubeRewrite {
 /// Returns the rewritten plan, or `plan` itself when nothing applied.
 PlanPtr RewriteTopNProactive(const PlanPtr& plan, int64_t proactive_limit);
 
+/// Cube caching threshold on the number of distinct values the pulled-up
+/// selection columns add to the GROUP BY (§IV-B heuristic).
+inline constexpr int64_t kCubeDistinctThreshold = 64;
+
 /// Cube caching with selections: rewrites
 ///     Aggregate(γ, α, Select(p(c), X))
 /// into
 ///     Project(Aggregate(γ, α'', Select(p(c), Aggregate(γ∪c, α', X))))
-/// when the selection columns c have a small combined distinct count
-/// (looked up in the catalog; the paper's result-size heuristic).
+/// when the selection columns c have a combined distinct count of at most
+/// `distinct_threshold` (looked up in the catalog; the paper's
+/// result-size heuristic; the recycler passes kCubeDistinctThreshold).
 ///
 /// Cube caching with binning: when p is a single upper-bounded range
 /// predicate on a DATE column (c <= D or c < D), rewrites into the union

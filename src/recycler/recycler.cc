@@ -169,10 +169,10 @@ Recycler::Recycler(const Catalog* catalog, RecyclerConfig config)
   executor_.set_zone_map_pruning(config_.enable_zone_map_pruning);
   // Calibrate the shared cost model now so the micro-probe never lands
   // inside a query's timing.
-  if (config_.use_cost_model) CostModel::Global();
+  CostModel::Global();
   cold_tier_.set_compress(config_.compress_spill);
-  // Nodes dropped off the recycler's synchronous paths (async spill
-  // failures, commit-time sweeps, fleet purges applied by RefreshFleet)
+  // Nodes dropped off the recycler's synchronous paths (spill failures,
+  // commit-time sweeps, fleet purges applied by RefreshFleet)
   // arrive here with no cold-tier lock held; demotion takes the normal
   // graph/cache locks.
   cold_tier_.set_drop_callback([this](const std::vector<const RGNode*>& ns) {
@@ -180,8 +180,7 @@ Recycler::Recycler(const Catalog* catalog, RecyclerConfig config)
     std::lock_guard<std::mutex> clock(cache_mu_);
     for (const RGNode* n : ns) OnColdEntryDropped(const_cast<RGNode*>(n));
   });
-  // Spill accounting runs at commit time so async and sync spills count
-  // identically (atomics only: the sync path fires under the tier mutex).
+  // Spill accounting runs at commit time, on the tier's spill worker.
   cold_tier_.set_spilled_callback(
       [this](const RGNode*, int64_t stored, int64_t raw) {
         counters_.cold_spills.fetch_add(1);
@@ -198,7 +197,6 @@ Recycler::Recycler(const Catalog* catalog, RecyclerConfig config)
     copts.shared = config_.shared_spill_dir;
     copts.read_only = config_.spill_read_only;
     copts.lease_ms = config_.fleet_lease_ms;
-    copts.async_spill = config_.async_spill;
     if (config_.shared_spill_dir && !config_.spill_read_only) {
       copts.instance_id = config_.fleet_instance.empty()
                               ? StrFormat("pid%d", static_cast<int>(getpid()))
@@ -314,20 +312,11 @@ bool Recycler::MaybeSpill(RGNode* node) {
     meta.table_versions.emplace_back(t, stamp.rows);
   }
 
-  if (config_.async_spill) {
-    // The file write happens on the tier's worker, off the cache mutex
-    // the caller holds; the pinned snapshot serves loads until the
-    // commit. Failures and commit-time sweep victims come back through
-    // the drop callback. Spill accounting fires in the spilled callback
-    // at commit on both paths.
-    return cold_tier_.SpillAsync(node, meta.canon_key, snapshot, meta);
-  }
-  std::vector<const RGNode*> dropped;
-  bool ok = cold_tier_.Spill(node, meta.canon_key, *snapshot, meta, &dropped);
-  for (const RGNode* d : dropped) {
-    OnColdEntryDropped(const_cast<RGNode*>(d));
-  }
-  return ok;
+  // The file write happens on the tier's worker, off the cache mutex the
+  // caller holds; the pinned snapshot serves loads until the commit.
+  // Failures and commit-time sweep victims come back through the drop
+  // callback; spill accounting fires in the spilled callback at commit.
+  return cold_tier_.SpillAsync(node, meta.canon_key, snapshot, meta);
 }
 
 void Recycler::OnColdEntryDropped(RGNode* node) {
@@ -379,8 +368,8 @@ TablePtr Recycler::ReadmitCold(RGNode* node) {
     return nullptr;
   }
   if (!st.ok()) {
-    // Corrupt/truncated file: recoverable — drop the dead entry so no
-    // later query retries it, and re-execute this one.
+    // Corrupt, truncated or vanished file: recoverable — drop the dead
+    // entry so no later query retries it, and re-execute this one.
     counters_.cold_load_errors.fetch_add(1);
     std::shared_lock<std::shared_mutex> glock(graph_.mutex());
     std::lock_guard<std::mutex> clock(cache_mu_);
@@ -487,11 +476,12 @@ bool Recycler::TryAdoptOrphan(RGNode* node) {
     cold_tier_.Remove(node);
     return false;
   }
-  // Re-anchor v3 row stamps against the live catalog: replace-epochs are
+  // Re-anchor row stamps against the live catalog: replace-epochs are
   // process-local, so an image is adoptable iff every row mark still fits
   // inside the current table (appends since the spill leave it usable as
-  // an as-of prefix; a shrunk or missing base does not). v1/v2 images
-  // have no stamps and adopt unstamped (same-base-data contract).
+  // an as-of prefix; a shrunk or missing base does not). Images of
+  // unstamped nodes carry no marks and adopt unstamped (same-base-data
+  // contract).
   std::map<std::string, TableStamp> stamps;
   for (const auto& [tname, rows] : meta.table_versions) {
     TableSnapshot snap = catalog_->Snapshot(tname);
@@ -1144,11 +1134,7 @@ PlanPtr Recycler::RewriteForReuse(MNode* m, const PlanPtr& plan,
               spec_index = si;
             }
           }
-          if (stitched.reuse_pieces.empty() ||
-              stitched.covered_fraction < config_.partial_min_cover) {
-            stitched = PartialPlan{};
-            break;
-          }
+          if (stitched.reuse_pieces.empty()) break;
           slices.clear();
           RGNode* failed = nullptr;
           for (const PartialPiece& piece : stitched.reuse_pieces) {
@@ -1563,10 +1549,11 @@ void Recycler::OnTableAppended(const std::string& table) {
       counters_.invalidations.fetch_add(1);
     }
   }
-  // Orphan images from a previous process: v3 files carry row marks and
-  // re-anchor on adoption (TryAdoptOrphan drops any whose mark exceeds
-  // the live table), so they survive appends. Unversioned (v1/v2) files
-  // are indistinguishable from stale — purge those.
+  // Orphan images from a previous process: stamped files carry row marks
+  // and re-anchor on adoption (TryAdoptOrphan drops any whose mark
+  // exceeds the live table), so they survive appends. Images of unstamped
+  // nodes carry no marks and are indistinguishable from stale — purge
+  // those.
   std::vector<const RGNode*> dropped;
   cold_tier_.PurgeUnversionedOrphans(table, &dropped);
   for (const RGNode* d : dropped) {
@@ -1647,7 +1634,7 @@ std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan) {
       counters_.proactive_rewrites.fetch_add(1);
     }
     auto cube =
-        TryCubeRewrite(plan, *catalog_, config_.cube_distinct_threshold);
+        TryCubeRewrite(plan, *catalog_, kCubeDistinctThreshold);
     if (cube.has_value()) {
       // Match + insert the proactive variant WITHOUT committing to execute
       // it; its shared parts accumulate benefit each time the strategy
@@ -1773,15 +1760,12 @@ void Recycler::OnComplete(PreparedQuery* prepared, const ExecResult& result) {
     auto it = result.node_runtime.find(node);
     if (it == result.node_runtime.end()) continue;
     const NodeRuntime& rt = it->second;
-    // Subtree cost: the calibrated model (deterministic in plan shape and
-    // observed cardinalities, so identical workloads produce identical
-    // benefit rankings) or the measured wall clock, by configuration.
-    const double subtree_ms =
-        config_.use_cost_model
-            ? CostModel::Global().SubtreeMs(*node, result.node_runtime)
-            : rt.inclusive_ms;
-    double bcost = subtree_ms + walker.ReplacedBelow(node);
-    gnode->bcost_ms.store(bcost);  // refresh (wall-clock mode: with load)
+    // Subtree cost from the calibrated model: deterministic in plan shape
+    // and observed cardinalities, so identical workloads produce
+    // identical benefit rankings.
+    double bcost = CostModel::Global().SubtreeMs(*node, result.node_runtime) +
+                   walker.ReplacedBelow(node);
+    gnode->bcost_ms.store(bcost);
     gnode->has_bcost.store(true);
     gnode->rows.store(rt.rows_out);
     if (!gnode->has_size.load()) {

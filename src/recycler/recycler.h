@@ -49,20 +49,8 @@ struct RecyclerConfig {
   /// enable_subsumption: disabling single-superset subsumption alone
   /// does not turn stitching off.
   bool enable_partial_reuse = true;
-  /// Minimum share of the query interval the cached slices must cover
-  /// for a stitched rewrite to be used (0 = any overlap, 1 = full cover
-  /// only). Stitched plans with a delta scan still execute the child for
-  /// the remainder, so raising this trades stitching opportunities for
-  /// less union overhead. Caveat: for open-ended or non-numeric query
-  /// intervals the covered fraction is unmeasurable and falls back to an
-  /// even split across the stitched branches, so thresholds near 1 also
-  /// suppress open-ended stitches with several branches.
-  double partial_min_cover = 0.0;
   /// Proactive top-N limit L (§IV-B: topN(Q, 10000) subsumes topN(Q, N)).
   int64_t proactive_topn_limit = 10000;
-  /// Cube caching threshold on the number of distinct values the pulled-up
-  /// selection columns add to the GROUP BY (§IV-B heuristic).
-  int64_t cube_distinct_threshold = 64;
   /// Upper bound on stalling for a concurrent materialization.
   int64_t stall_timeout_ms = 30000;
   /// Replacement policy (kBenefit = paper; others for ablations).
@@ -80,14 +68,7 @@ struct RecyclerConfig {
   /// Minimum benefit (Eq. 1) an evicted result must retain to be worth
   /// spilling; 0 spills every evicted result.
   double spill_min_benefit = 0.0;
-  /// Refresh node build costs (bcost, Eq. 2) from the calibrated
-  /// per-operator cost model instead of wall-clock timings. The model is
-  /// deterministic for a given plan shape and cardinality, so benefit
-  /// rankings — and therefore admission/eviction/spill decisions — stop
-  /// depending on scheduler noise. When false, measured milliseconds are
-  /// used as before.
-  bool use_cost_model = true;
-  /// Compress cold-tier spill payloads (format v2 per-column codecs).
+  /// Compress cold-tier spill payloads (per-column codecs).
   /// Stored results are bit-identical either way; compression only
   /// changes how many entries fit under cold_tier_capacity_bytes.
   bool compress_spill = true;
@@ -108,10 +89,6 @@ struct RecyclerConfig {
   /// window is presumed dead and its entries become claimable
   /// (stale-lease takeover). Must be positive when shared_spill_dir.
   int64_t fleet_lease_ms = 30000;
-  /// Run spill file writes on a background worker instead of under the
-  /// cache mutex (Drain barriers at checkpoint/shutdown keep
-  /// persistence semantics). Off = the historical synchronous spill.
-  bool async_spill = true;
   /// Consult base-table zone maps to skip scan blocks that cannot match
   /// a query's range predicate. Pruning is conservative (never skips a
   /// possibly-matching block), so results are identical either way.

@@ -13,7 +13,7 @@
 //
 // EncodeColumn picks the smallest encoding (falling back to kRaw when
 // nothing beats the raw image), so a spill payload is never larger than
-// the uncompressed format v1 column. Decoding is bit-exact: doubles are
+// the uncompressed column. Decoding is bit-exact: doubles are
 // compared/stored by bit pattern, never by value arithmetic.
 //
 // SelectRangeEncoded evaluates a range predicate directly on the encoded

@@ -2,26 +2,28 @@
 //
 // A spill file holds one materialized recycler result as a simple
 // columnar image: a self-describing header (canonical subtree key,
-// schema, reference statistics, base tables) followed by the raw column
-// payloads and a trailing checksum. Columns are written contiguously per
-// column, so read-back rebuilds each ColumnVector with one bulk read and
-// the reloaded table feeds the zero-copy view machinery exactly like a
+// schema, reference statistics, base tables) followed by the column
+// payloads and a trailing checksum. Each column is one contiguous encoded
+// block, so read-back rebuilds each ColumnVector with one decode and the
+// reloaded table feeds the zero-copy view machinery exactly like a
 // freshly materialized result (scans emit O(1) views of its columns).
 //
 // Layout (all integers little-endian, strings length-prefixed u32):
 //
 //   "RDBS" magic | u32 version | u64 header_len | header | payload | u64 fnv
 //
-// Format v1 stores each column as its raw in-memory image. Format v2
-// stores each column as a self-describing encoded block
+// The header ends with the uncompressed payload size (so the cold tier
+// can report compression ratios) and the per-base-table row high-water
+// marks the result was computed at (delta maintenance; see
+// recycler/delta.h). The payload stores each column as a self-describing
+// encoded block
 //
 //   u8 encoding | u64 payload_len | payload
 //
 // using the codecs in storage/compression.h (raw / RLE / dictionary /
-// frame-of-reference, chosen per column by size), and appends the
-// uncompressed payload size to the header so the cold tier can report
-// compression ratios. Readers accept both versions; writers emit v2
-// unless asked otherwise.
+// frame-of-reference, chosen per column by size). Readers accept only
+// the current version; a file of any other version is rejected like a
+// corrupt one (the cold tier deletes it at open).
 //
 // The checksum is FNV-1a over header + payload. Writers stream to
 // "<path>.tmp" and rename into place, so a final-named file is always
@@ -43,14 +45,8 @@
 
 namespace recycledb {
 
-/// Current spill format version; bump on any layout change. Readers
-/// accept kSpillFormatVersionV1 (pre-compression) and V2 (no base-table
-/// version stamps) files too, so older cold tiers survive an upgrade in
-/// place; anything else is rejected with a recoverable Status. v3
-/// appends the per-base-table row high-water marks the result was
-/// computed at (delta maintenance; see recycler/delta.h).
-inline constexpr uint32_t kSpillFormatVersionV1 = 1;
-inline constexpr uint32_t kSpillFormatVersionV2 = 2;
+/// Spill format version; bump on any layout change. Versions 1 (raw
+/// column images) and 2 (no row stamps) are no longer read.
 inline constexpr uint32_t kSpillFormatVersion = 3;
 
 /// Everything the cold tier must know about a spilled result without
@@ -74,40 +70,27 @@ struct SpillFileMeta {
   /// Base tables under the producing subtree (update invalidation must
   /// purge spilled entries too).
   std::vector<std::string> base_tables;
-  /// Format version the file was read with / will be written as (readers
-  /// overwrite this with the on-disk value).
-  uint32_t format_version = kSpillFormatVersion;
-  /// Uncompressed payload size in bytes (the v1 column image this file
-  /// would occupy without compression). Written by WriteSpillFile for
-  /// v2+ files; 0 when reading a v1 file.
+  /// Uncompressed payload size in bytes (the raw column images this
+  /// file would hold without compression). Computed by WriteSpillFile.
   int64_t raw_bytes = 0;
-  /// Per-base-table row high-water marks at computation time (v3+): the
-  /// result was computed from rows [0, rows) of each named table.
+  /// Per-base-table row high-water marks at computation time: the result
+  /// was computed from rows [0, rows) of each named table.
   /// Replace-epochs are process-local and deliberately NOT persisted;
   /// adoption re-anchors the stamps against the live catalog and drops
   /// images whose marks exceed the current table (shrunk/replaced base).
-  /// Empty when reading a v1/v2 file (such entries stay unstamped and
-  /// appends hard-invalidate them).
+  /// Empty for a result over unstamped nodes (such entries stay
+  /// unstamped and appends hard-invalidate them).
   std::vector<std::pair<std::string, int64_t>> table_versions;
 };
 
-/// Writer knobs; defaults produce a compressed v2 file.
-struct SpillWriteOptions {
-  /// kSpillFormatVersion or kSpillFormatVersionV1 (the latter kept for
-  /// compatibility tests and downgrade escapes).
-  uint32_t version = kSpillFormatVersion;
-  /// v2 only: pick the smallest codec per column. When false every
-  /// column is stored kRaw (still framed as v2 blocks).
-  bool compress = true;
-};
-
 /// Writes `table` with `meta` to `path` via a "<path>.tmp" + rename
-/// protocol. On any error the final path is left untouched (a stale tmp
-/// file may remain; directory scans delete those). `meta.raw_bytes` is
-/// computed by the writer; the caller's value is ignored.
+/// protocol. `compress` picks the smallest codec per column; when false
+/// every column is stored kRaw (still framed as encoded blocks). On any
+/// error the final path is left untouched (a stale tmp file may remain;
+/// directory scans delete those). `meta.raw_bytes` is computed by the
+/// writer; the caller's value is ignored.
 Status WriteSpillFile(const std::string& path, const Table& table,
-                      const SpillFileMeta& meta,
-                      const SpillWriteOptions& options = {});
+                      const SpillFileMeta& meta, bool compress = true);
 
 /// Reads only the header of `path` (directory-scan fast path; the
 /// payload checksum is NOT verified here).
@@ -127,8 +110,7 @@ Status ReadSpillTable(const std::string& path, SpillFileMeta* meta,
 /// consumed by a subsumption/stitch rewrite never materializes rows the
 /// rewrite would filter out anyway. Row order is preserved, so the
 /// result is bit-identical to a full load followed by the same range
-/// filter. v1 files (no encoded image) and out-of-range column indexes
-/// return a recoverable error; the caller falls back to ReadSpillTable.
+/// filter. An out-of-range column index returns a recoverable error.
 Status ReadSpillTableFiltered(const std::string& path, SpillFileMeta* meta,
                               int filter_column, const ColumnInterval& range,
                               TablePtr* out);

@@ -275,42 +275,6 @@ TEST(SpillFile, CorruptPayloadFailsChecksum) {
   EXPECT_FALSE(st.ok());
 }
 
-TEST(SpillFile, ImplausibleRowCountRejectedBeforeAllocation) {
-  TempSpillDir dir;
-  TablePtr t = MakeTestTable(100);
-  SpillFileMeta meta;
-  meta.canon_key = "k";
-  meta.column_names = t->schema().Names();
-  meta.column_types = {TypeId::kInt32, TypeId::kDouble};
-  meta.num_rows = t->num_rows();
-  const std::string path = dir.path() + "/rows.spill";
-  // v1 on purpose: the row-count plausibility bound is the v1 reader's
-  // only pre-allocation defense. The v2 reader verifies the checksum
-  // before decoding anything, so a patched header fails there instead
-  // (covered in test_speed_pack.cc).
-  SpillWriteOptions v1;
-  v1.version = kSpillFormatVersionV1;
-  ASSERT_TRUE(WriteSpillFile(path, *t, meta, v1).ok());
-
-  // Patch the header's num_rows (offset: 16-byte prefix + "k" string
-  // (5) + ncols (4) + two "a"/"v" column records (6 each)) to a value
-  // that would allocate petabytes if trusted. The reader must fail with
-  // a recoverable Status before any allocation — the checksum pass
-  // would be too late.
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 16 + 5 + 4 + 6 + 6, SEEK_SET);
-  const uint64_t huge = 1ull << 60;
-  std::fwrite(&huge, sizeof(huge), 1, f);
-  std::fclose(f);
-
-  SpillFileMeta m2;
-  TablePtr back;
-  Status st = ReadSpillTable(path, &m2, &back);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("row count"), std::string::npos);
-}
-
 TEST(SpillFile, GarbageFileRejected) {
   TempSpillDir dir;
   const std::string path = dir.path() + "/garbage.spill";
@@ -467,8 +431,10 @@ TEST(ColdTier, FailedPieceLoadReplansTheStitch) {
   // The plan picks [0,3000) and [3000,6000); the second's file is gone
   // when its load comes, so the stitch re-plans to [0,3000) plus a
   // delta scan, reusing the slice it already read.
-  fs::remove(*added.begin());
+  const std::string removed = *added.begin();
+  fs::remove(removed);
   const int64_t slice_loads = db->counters().cold_slice_loads.load();
+  const int64_t indexed = db->recycler().interval_index_entries();
 
   Result r = db->Execute(RangeQuery(1000, 5000));
   ASSERT_TRUE(r.ok());
@@ -476,6 +442,29 @@ TEST(ColdTier, FailedPieceLoadReplansTheStitch) {
   EXPECT_EQ(r.cold_hits(), 1);
   EXPECT_EQ(db->counters().cold_slice_loads.load(), slice_loads + 1);
   EXPECT_EQ(ResultDigest(*r.table()), expected);
+  // The entry whose file vanished is dead, not swept: it is dropped and
+  // counted, so it no longer occupies the tier or the interval index.
+  EXPECT_EQ(db->graph_stats().num_cold, 2);
+  EXPECT_EQ(db->counters().cold_load_errors.load(), 1);
+  EXPECT_EQ(db->recycler().cold_tier().Stats().entries, 2);
+  EXPECT_EQ(db->recycler().interval_index_entries(), indexed);
+
+  // Later queries never try the dropped entry again: a file reappearing
+  // at its path (garbage here) would count a second load error.
+  {
+    std::FILE* f = std::fopen(removed.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fputs("not a spill file", f);
+    std::fclose(f);
+  }
+  for (PlanPtr again : {RangeQuery(1000, 5000), RangeQuery(3500, 5500)}) {
+    const uint64_t want = BypassDigest(db.get(), again);
+    Result rr = db->Execute(again);
+    ASSERT_TRUE(rr.ok());
+    EXPECT_EQ(ResultDigest(*rr.table()), want);
+  }
+  EXPECT_EQ(db->counters().cold_load_errors.load(), 1);
+  EXPECT_EQ(db->counters().cold_slice_loads.load(), slice_loads + 1);
 }
 
 TEST(ColdTier, RejectedPromotionStillServesSnapshot) {

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 
+#include "api/validate.h"
 #include "common/rng.h"
 #include "expr/aggregate.h"
 #include "expr/expression.h"
@@ -41,6 +42,14 @@ Batch TestBatch() {
   return batch;
 }
 
+/// Result type of `e` over `schema`; fails the test on a type error.
+TypeId TypeOf(const Expr& e, const Schema& schema) {
+  TypeId t = TypeId::kBool;
+  Status st = CheckExprType(e, schema, &t);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return t;
+}
+
 ColumnPtr Eval(const ExprPtr& e, const Batch& b) {
   return ExprProgram(*e, TestSchema()).Eval(b);
 }
@@ -65,7 +74,7 @@ TEST(ExprEvalTest, Arithmetic) {
       ArithOp::kAdd,
       Expr::Arith(ArithOp::kMul, Expr::Column("a"), Expr::Literal(int64_t{2})),
       Expr::Column("b"));
-  EXPECT_EQ(e->DeduceType(TestSchema()), TypeId::kDouble);
+  EXPECT_EQ(TypeOf(*e, TestSchema()), TypeId::kDouble);
   ColumnPtr c = Eval(e, b);
   EXPECT_DOUBLE_EQ(c->Raw<double>()[1], 6.5);
 }
@@ -404,7 +413,7 @@ Datum Ref(const Expr& e, const Schema& schema, const Batch& batch,
       return e.logical_op() == LogicalOp::kAnd ? (l && r) : (l || r);
     }
     case ExprKind::kArith:
-      return RefArith(e.arith_op(), e.DeduceType(schema), kid(0), kid(1));
+      return RefArith(e.arith_op(), TypeOf(e, schema), kid(0), kid(1));
     case ExprKind::kFunc: {
       const Datum v = kid(0);
       if (e.func_name() == "year") return DateYear(std::get<int32_t>(v));
@@ -425,7 +434,7 @@ Datum Ref(const Expr& e, const Schema& schema, const Batch& batch,
     }
     case ExprKind::kCase:
       return RefConvert(std::get<bool>(kid(0)) ? kid(1) : kid(2),
-                        e.DeduceType(schema));
+                        TypeOf(e, schema));
     case ExprKind::kInList: {
       const Datum v = kid(0);
       for (const Datum& x : e.in_values()) {
@@ -639,7 +648,7 @@ TEST(ExprDifferentialTest, KernelsMatchPerRowReference) {
     ExprPtr e = predicate ? gen.Bool(depth) : gen.Any(depth);
     SCOPED_TRACE(e->Fingerprint(nullptr));
     ExprProgram program(*e, schema);
-    ASSERT_EQ(program.type(), e->DeduceType(schema));
+    ASSERT_EQ(program.type(), TypeOf(*e, schema));
     // One program over several batches: buffers are reused across them,
     // and columns handed out earlier must keep their values.
     std::vector<std::pair<Batch, ColumnPtr>> outputs;

@@ -75,7 +75,7 @@ TEST_F(ProactiveTest, CubeWithSelectionsRewrite) {
   PlanPtr plan = AggOverSelect(
       Expr::Eq(Expr::Column("cat"), Expr::Literal(int64_t{3})));
   plan->Bind(catalog_);
-  auto cube = TryCubeRewrite(plan, catalog_, 64);
+  auto cube = TryCubeRewrite(plan, catalog_, kCubeDistinctThreshold);
   ASSERT_TRUE(cube.has_value());
   ASSERT_NE(cube->gate, nullptr);
   EXPECT_EQ(cube->gate->type(), OpType::kAggregate);
@@ -92,7 +92,8 @@ TEST_F(ProactiveTest, CubeThresholdBlocksHighCardinality) {
   PlanPtr plan = AggOverSelect(
       Expr::Eq(Expr::Column("val"), Expr::Literal(5.0)));
   plan->Bind(catalog_);
-  EXPECT_FALSE(TryCubeRewrite(plan, catalog_, 64).has_value());
+  EXPECT_FALSE(
+      TryCubeRewrite(plan, catalog_, kCubeDistinctThreshold).has_value());
   // A generous threshold allows it.
   EXPECT_TRUE(TryCubeRewrite(plan, catalog_, 1000).has_value());
 }
@@ -106,7 +107,7 @@ TEST_F(ProactiveTest, CubePullUpWhenPredicateOnGroupColumns) {
                                 Expr::Literal(std::string("A")))),
       {"grp"}, {{AggFunc::kSum, Expr::Column("val"), "sv"}});
   plan->Bind(catalog_);
-  auto cube = TryCubeRewrite(plan, catalog_, 64);
+  auto cube = TryCubeRewrite(plan, catalog_, kCubeDistinctThreshold);
   ASSERT_TRUE(cube.has_value());
   EXPECT_EQ(cube->plan->type(), OpType::kSelect);
   EXPECT_EQ(cube->plan->child(), cube->gate);
@@ -119,7 +120,7 @@ TEST_F(ProactiveTest, CubeWithBinningRewrite) {
   PlanPtr plan = AggOverSelect(Expr::Le(Expr::Column("when_d"),
                                         Expr::Literal(cutoff)));
   plan->Bind(catalog_);
-  auto cube = TryCubeRewrite(plan, catalog_, 64);
+  auto cube = TryCubeRewrite(plan, catalog_, kCubeDistinctThreshold);
   ASSERT_TRUE(cube.has_value());
   // The gate is the year-binned cube.
   EXPECT_EQ(cube->gate->type(), OpType::kAggregate);
@@ -139,7 +140,7 @@ TEST_F(ProactiveTest, BinningHandlesStrictLessThan) {
   PlanPtr plan = AggOverSelect(Expr::Lt(Expr::Column("when_d"),
                                         Expr::Literal(cutoff)));
   plan->Bind(catalog_);
-  auto cube = TryCubeRewrite(plan, catalog_, 64);
+  auto cube = TryCubeRewrite(plan, catalog_, kCubeDistinctThreshold);
   ASSERT_TRUE(cube.has_value());
   cube->plan->Bind(catalog_);
   EXPECT_EQ(RunOff(cube->plan),
@@ -153,7 +154,7 @@ TEST_F(ProactiveTest, RewriteFindsNestedPattern) {
       Expr::Eq(Expr::Column("cat"), Expr::Literal(int64_t{2})));
   PlanPtr plan = PlanNode::OrderBy(inner, {{"grp", true}});
   plan->Bind(catalog_);
-  auto cube = TryCubeRewrite(plan, catalog_, 64);
+  auto cube = TryCubeRewrite(plan, catalog_, kCubeDistinctThreshold);
   ASSERT_TRUE(cube.has_value());
   EXPECT_EQ(cube->plan->type(), OpType::kOrderBy);
 }

@@ -305,7 +305,6 @@ TEST_P(SqlFuzzTest, DifferentialAgainstBypassAndReplay) {
   DatabaseOptions options;
   options.recycler.mode = RecyclerMode::kSpeculation;
   options.recycler.cache_bytes = -1;
-  options.recycler.use_cost_model = true;
   options.recycler.capture_plan_explain = true;
   auto db = Database::OpenOrDie(options);
   ASSERT_TRUE(db->CreateTable("fuzz", MakeFuzzBatch(kInitialRows, 0)).ok());

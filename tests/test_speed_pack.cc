@@ -1,7 +1,8 @@
 // Tests for the single-core speed pack: incremental zone-map
 // maintenance, pruned-vs-unpruned bit-equality across all column types,
 // the column codecs (round trips, encoded-range selection, corruption
-// handling), the v2 compressed spill format (and v1 compatibility), the
+// handling), the compressed spill format (and rejection of older format
+// versions), the
 // calibrated cost model's determinism, and a concurrent pruned-query
 // stress against a compressing cold tier.
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "storage/compression.h"
 #include "storage/spill_file.h"
 #include "test_util.h"
+#include "trace/trace_format.h"
 
 namespace recycledb {
 namespace {
@@ -638,7 +640,7 @@ TEST(Compression, CorruptPayloadsAreRecoverableErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// Spill format v2 and v1 compatibility
+// Spill format: compression and rejection of older versions
 // ---------------------------------------------------------------------------
 
 TablePtr MakeCompressibleTable(int rows) {
@@ -675,66 +677,113 @@ bool TablesBitEqual(const Table& a, const Table& b) {
   return true;
 }
 
-TEST(SpillV2, V1FilesRemainReadable) {
-  TempSpillDir dir;
-  TablePtr t = MakeCompressibleTable(3000);
-  const std::string path = dir.path() + "/v1.spill";
-  SpillWriteOptions v1;
-  v1.version = kSpillFormatVersionV1;
-  ASSERT_TRUE(WriteSpillFile(path, *t, MakeMeta(*t), v1).ok());
-
-  SpillFileMeta meta;
-  TablePtr back;
-  ASSERT_TRUE(ReadSpillTable(path, &meta, &back).ok());
-  EXPECT_EQ(meta.format_version, kSpillFormatVersionV1);
-  EXPECT_EQ(meta.raw_bytes, 0);  // v1 headers carry no raw size
-  EXPECT_EQ(back->num_rows(), t->num_rows());
-  EXPECT_TRUE(TablesBitEqual(*t, *back));
+/// Overwrites the u32 version field (after the 4-byte magic) of the spill
+/// file at `path`.
+void PatchSpillVersion(const std::string& path, uint32_t version) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  unsigned char le[4];
+  for (int i = 0; i < 4; ++i) {
+    le[i] = static_cast<unsigned char>(version >> (8 * i));
+  }
+  std::fseek(f, 4, SEEK_SET);
+  ASSERT_EQ(std::fwrite(le, 1, 4, f), 4u);
+  std::fclose(f);
 }
 
-TEST(SpillV2, CompressedFilesAreSmallerAndBitEqual) {
+std::vector<std::string> SpillFilesIn(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".spill") out.push_back(entry.path());
+  }
+  return out;
+}
+
+TEST(SpillFormat, OlderVersionFilesAreDiscarded) {
+  // Versions 1 (raw column images) and 2 (no row stamps) are no longer
+  // read: such a file is rejected like a corrupt one, a writable tier
+  // deletes it at open, and the query it would have served re-executes.
+  PlanPtr query = PlanNode::Select(
+      WideScan(),
+      Expr::And(Expr::Ge(Expr::Column("i"), Expr::Literal(int32_t{1000})),
+                Expr::Lt(Expr::Column("i"), Expr::Literal(int32_t{3000}))));
+  for (uint32_t old_version : {1u, 2u}) {
+    SCOPED_TRACE(old_version);
+    TempSpillDir dir;
+    DatabaseOptions options;
+    options.recycler.mode = RecyclerMode::kSpeculation;
+    options.recycler.spill_dir = dir.path();
+    uint64_t expected = 0;
+    {
+      auto db = Database::OpenOrDie(options);
+      ASSERT_TRUE(db->CreateTable("w", MakeWideTable()).ok());
+      SessionOptions so;
+      so.bypass_recycler = true;
+      Result bypass = db->Connect(so)->Execute(query);
+      ASSERT_TRUE(bypass.ok());
+      expected = trace::ResultDigest(*bypass.table());
+      ASSERT_TRUE(db->Execute(query).ok());
+      db->FlushCache();  // spills the result in the current format
+    }
+    const std::vector<std::string> files = SpillFilesIn(dir.path());
+    ASSERT_FALSE(files.empty());
+    for (const std::string& f : files) {
+      SpillFileMeta meta;
+      ASSERT_TRUE(ReadSpillMeta(f, &meta).ok());
+      PatchSpillVersion(f, old_version);
+      Status st = ReadSpillMeta(f, &meta);
+      EXPECT_EQ(st.code(), StatusCode::kInternal);
+      EXPECT_NE(st.message().find("unsupported spill version"),
+                std::string::npos)
+          << st.ToString();
+      TablePtr back;
+      EXPECT_FALSE(ReadSpillTable(f, &meta, &back).ok());
+    }
+
+    auto db = Database::OpenOrDie(options);
+    for (const std::string& f : files) EXPECT_FALSE(fs::exists(f)) << f;
+    EXPECT_EQ(db->recycler().cold_tier().Stats().entries, 0);
+    ASSERT_TRUE(db->CreateTable("w", MakeWideTable()).ok());
+    Result r = db->Execute(query);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.reuses(), 0);
+    EXPECT_EQ(r.cold_hits(), 0);
+    EXPECT_EQ(trace::ResultDigest(*r.table()), expected);
+  }
+}
+
+TEST(SpillFormat, CompressedFilesAreSmallerAndBitEqual) {
   TempSpillDir dir;
   TablePtr t = MakeCompressibleTable(20000);
-  const std::string v1_path = dir.path() + "/a.v1.spill";
-  const std::string v2_path = dir.path() + "/a.v2.spill";
-  SpillWriteOptions v1;
-  v1.version = kSpillFormatVersionV1;
-  ASSERT_TRUE(WriteSpillFile(v1_path, *t, MakeMeta(*t), v1).ok());
-  ASSERT_TRUE(WriteSpillFile(v2_path, *t, MakeMeta(*t)).ok());
+  const std::string raw_path = dir.path() + "/a.raw.spill";
+  const std::string packed_path = dir.path() + "/a.packed.spill";
+  ASSERT_TRUE(
+      WriteSpillFile(raw_path, *t, MakeMeta(*t), /*compress=*/false).ok());
+  ASSERT_TRUE(WriteSpillFile(packed_path, *t, MakeMeta(*t)).ok());
 
-  const auto v1_size = fs::file_size(v1_path);
-  const auto v2_size = fs::file_size(v2_path);
-  EXPECT_LT(v2_size, v1_size);
+  const auto raw_size = fs::file_size(raw_path);
+  const auto packed_size = fs::file_size(packed_path);
+  EXPECT_LT(packed_size, raw_size);
+
+  SpillFileMeta raw_meta;
+  TablePtr raw_back;
+  ASSERT_TRUE(ReadSpillTable(raw_path, &raw_meta, &raw_back).ok());
+  EXPECT_TRUE(TablesBitEqual(*t, *raw_back));
 
   SpillFileMeta meta;
   TablePtr back;
-  ASSERT_TRUE(ReadSpillTable(v2_path, &meta, &back).ok());
-  EXPECT_EQ(meta.format_version, kSpillFormatVersion);
-  EXPECT_GT(meta.raw_bytes, static_cast<int64_t>(v2_size));
+  ASSERT_TRUE(ReadSpillTable(packed_path, &meta, &back).ok());
+  EXPECT_GT(meta.raw_bytes, static_cast<int64_t>(packed_size));
+  EXPECT_EQ(meta.raw_bytes, raw_meta.raw_bytes);
   EXPECT_TRUE(TablesBitEqual(*t, *back));
 
   // The header fast path reports the same raw size without a full read.
   SpillFileMeta header;
-  ASSERT_TRUE(ReadSpillMeta(v2_path, &header).ok());
+  ASSERT_TRUE(ReadSpillMeta(packed_path, &header).ok());
   EXPECT_EQ(header.raw_bytes, meta.raw_bytes);
 }
 
-TEST(SpillV2, UncompressedV2OptionRoundTrips) {
-  TempSpillDir dir;
-  TablePtr t = MakeCompressibleTable(2000);
-  const std::string path = dir.path() + "/raw.v2.spill";
-  SpillWriteOptions opts;
-  opts.compress = false;
-  ASSERT_TRUE(WriteSpillFile(path, *t, MakeMeta(*t), opts).ok());
-  SpillFileMeta meta;
-  TablePtr back;
-  ASSERT_TRUE(ReadSpillTable(path, &meta, &back).ok());
-  EXPECT_EQ(meta.format_version, kSpillFormatVersion);
-  EXPECT_GT(meta.raw_bytes, 0);
-  EXPECT_TRUE(TablesBitEqual(*t, *back));
-}
-
-TEST(SpillV2, CorruptionIsRecoverable) {
+TEST(SpillFormat, CorruptionIsRecoverable) {
   TempSpillDir dir;
   TablePtr t = MakeCompressibleTable(3000);
   const std::string path = dir.path() + "/corrupt.spill";
@@ -756,6 +805,35 @@ TEST(SpillV2, CorruptionIsRecoverable) {
   TablePtr back;
   Status st = ReadSpillTable(path, &meta, &back);
   EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("checksum"), std::string::npos)
+      << st.ToString();
+
+  // A header patched to claim an implausible row count fails the
+  // checksum (which covers the header) before any decoder sizes a
+  // column from it.
+  ASSERT_TRUE(WriteSpillFile(path, *t, MakeMeta(*t)).ok());
+  {
+    const SpillFileMeta m = MakeMeta(*t);
+    // Prefix (magic, version, header length), canonical key, column
+    // count, then one (name, type) record per column.
+    long rows_at = 16 + 4 + static_cast<long>(m.canon_key.size()) + 4;
+    for (const std::string& name : m.column_names) {
+      rows_at += 4 + static_cast<long>(name.size()) + 1;
+    }
+    FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, rows_at, SEEK_SET);
+    const uint64_t huge = 1ull << 60;
+    std::fwrite(&huge, sizeof(huge), 1, f);
+    std::fclose(f);
+  }
+  ASSERT_TRUE(ReadSpillMeta(path, &meta).ok());
+  EXPECT_EQ(meta.num_rows, static_cast<int64_t>(1ull << 60));
+  st = ReadSpillTable(path, &meta, &back);
+  EXPECT_NE(st.ToString().find("checksum"), std::string::npos)
+      << st.ToString();
+  st = ReadSpillTableFiltered(path, &meta, /*filter_column=*/0,
+                              AtLeast(int64_t{0}), &back);
   EXPECT_NE(st.ToString().find("checksum"), std::string::npos)
       << st.ToString();
 
