@@ -7,10 +7,6 @@
 namespace recycledb {
 
 Status ValidateRecyclerConfig(const RecyclerConfig& config) {
-  if (config.speculation_h < 0) {
-    return Status::InvalidArgument(
-        StrFormat("speculation_h must be >= 0 (got %g)", config.speculation_h));
-  }
   if (config.stall_timeout_ms <= 0) {
     return Status::InvalidArgument(
         StrFormat("stall_timeout_ms must be positive (got %lld)",
@@ -35,20 +31,7 @@ Status ValidateRecyclerConfig(const RecyclerConfig& config) {
         StrFormat("speculation_buffer_cap must be positive (got %lld)",
                   (long long)config.speculation_buffer_cap));
   }
-  if (config.proactive_topn_limit <= 0) {
-    return Status::InvalidArgument(
-        StrFormat("proactive_topn_limit must be positive (got %lld)",
-                  (long long)config.proactive_topn_limit));
-  }
-  // Cold-tier options. The threshold is checked unconditionally (a
-  // negative benefit is impossible, so a negative threshold is always a
-  // mistake); the capacity only matters once a spill_dir enables the
-  // tier.
-  if (!(config.spill_min_benefit >= 0.0)) {
-    return Status::InvalidArgument(
-        StrFormat("spill_min_benefit must be >= 0 (got %g)",
-                  config.spill_min_benefit));
-  }
+  // Cold-tier capacity only matters once a spill_dir enables the tier.
   if (!config.spill_dir.empty() && config.cold_tier_capacity_bytes <= 0) {
     return Status::InvalidArgument(
         StrFormat("cold_tier_capacity_bytes must be positive when "

@@ -390,10 +390,11 @@ void ColdTier::WorkerLoop() {
     TablePtr snapshot = ps.snapshot;
 
     lock.unlock();
-    const bool wrote = WriteSpillFile(path, *snapshot, stored, compress).ok();
-    // Re-read the stamped header so the in-memory copy carries the
-    // writer-computed raw_bytes (compression-ratio accounting).
-    if (wrote && !ReadSpillMeta(path, &stored).ok()) stored = ps.meta;
+    // The in-memory copy carries the writer-computed raw_bytes
+    // (compression-ratio accounting).
+    const bool wrote =
+        WriteSpillFile(path, *snapshot, stored, compress, &stored.raw_bytes)
+            .ok();
     std::error_code ec;
     int64_t bytes = wrote ? static_cast<int64_t>(fs::file_size(path, ec)) : 0;
     if (wrote && ec) bytes = snapshot->ByteSize();

@@ -40,14 +40,15 @@ std::vector<RGNode*> RecyclerGraph::LeafCandidates(const std::string& leaf_key,
   return out;
 }
 
-RGNode* RecyclerGraph::AddNode(std::unique_ptr<RGNode> node,
-                               const std::string& leaf_key) {
+RGNode* RecyclerGraph::AddNode(std::unique_ptr<RGNode> node) {
   RGNode* raw = node.get();
-  raw->leaf_key = leaf_key;
   raw->last_access_epoch = epoch_.load();
+  raw->shape = &shapes_[{raw->type, raw->hash_key}];
+  raw->shape->instances.fetch_add(1);
   nodes_.push_back(std::move(node));
+  num_nodes_.fetch_add(1);
   if (raw->children.empty()) {
-    leaf_index_.emplace(leaf_key, raw);
+    leaf_index_.emplace(raw->leaf_key, raw);
   } else {
     for (RGNode* child : raw->children) {
       child->parents.emplace(raw->hash_key, raw);
@@ -95,6 +96,7 @@ int64_t RecyclerGraph::Truncate(int64_t idle_epochs) {
       for (auto it = nodes_.begin(); it != nodes_.end(); ++it) {
         if (it->get() == v) {
           nodes_.erase(it);
+          num_nodes_.fetch_sub(1);
           break;
         }
       }

@@ -13,6 +13,7 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "plan/plan.h"
@@ -56,6 +57,19 @@ inline void AtomicScale(std::atomic<double>& a, double factor) {
 struct TableStamp {
   uint64_t epoch = 0;
   int64_t rows = 0;
+};
+
+/// Reuse evidence for one node shape: every graph node of the same
+/// (type, hash_key). Aggregate, OrderBy, TopN, Project and HashJoin keys
+/// carry no literals, so their shape is the statement template; Select and
+/// FunctionScan keys include literals and arguments, so each literal set is
+/// its own shape. Speculation reads the tally to stop storing fresh
+/// instances of shapes whose results are never matched again.
+struct ShapeTally {
+  /// Graph nodes of this shape ever inserted.
+  std::atomic<int64_t> instances{0};
+  /// Of which exactly matched by a later query at least once.
+  std::atomic<int64_t> rematched{0};
 };
 
 /// A node of the recycler graph: one relational operator with parameters,
@@ -138,7 +152,8 @@ struct RGNode {
   /// Query id that inserted this node (to exclude self-references when
   /// bumping h, §III-C).
   int64_t inserted_by = -1;
-  /// Total times a query exactly-matched this node (diagnostics).
+  /// Total times a query exactly-matched this node; its first increment
+  /// counts the node's shape as re-matched (ShapeTally).
   std::atomic<int64_t> match_count{0};
   /// Epoch of the last match/insert touching this node (drives
   /// truncation: §II "removing subtrees that have not been accessed for
@@ -147,6 +162,9 @@ struct RGNode {
   /// Leaf-index key (empty for non-leaves); needed to unregister on
   /// truncation.
   std::string leaf_key;
+  /// This node's shape tally, set by AddNode. Tallies are never freed, so
+  /// the pointer stays valid for the node's lifetime.
+  ShapeTally* shape = nullptr;
 
   // --- materialization state ------------------------------------------
   /// kNone->kInFlight is claimed by bare CAS (losers skip their store);
@@ -241,15 +259,21 @@ class RecyclerGraph {
   std::vector<RGNode*> LeafCandidates(const std::string& leaf_key,
                                       uint64_t hash_key) const;
 
-  /// Allocates a node (exclusive lock held by caller) and registers it in
-  /// the leaf index when it has no children.
-  RGNode* AddNode(std::unique_ptr<RGNode> node, const std::string& leaf_key);
+  /// Publishes a node (exclusive lock held by caller): registers it in
+  /// the leaf index under its leaf_key when it has no children, else in
+  /// its children's parent indexes, and counts it as an instance of its
+  /// shape.
+  RGNode* AddNode(std::unique_ptr<RGNode> node);
 
-  /// Next node id (exclusive lock held by caller).
-  int64_t NextId() { return next_id_++; }
+  /// Next node id. Needs no lock: nodes are built before the exclusive
+  /// lock is taken, and an id whose node loses its insert race is skipped.
+  int64_t NextId() { return next_id_.fetch_add(1); }
 
   /// All nodes (shared lock held by caller); for diagnostics and tests.
   const std::vector<std::unique_ptr<RGNode>>& nodes() const { return nodes_; }
+
+  /// Number of nodes, kept by AddNode and Truncate. Needs no lock.
+  int64_t num_nodes() const { return num_nodes_.load(); }
 
   /// Removes every node that (a) has not been accessed for at least
   /// `idle_epochs` epochs, (b) is not cached or in flight, and (c) has no
@@ -271,8 +295,18 @@ class RecyclerGraph {
   /// efficiently matching table scans"): leaf key -> nodes.
   std::unordered_multimap<std::string, RGNode*> leaf_index_;
 
+  /// Shape tallies keyed by (type, hash_key); entries are never erased.
+  struct ShapeKeyHash {
+    size_t operator()(const std::pair<OpType, uint64_t>& k) const {
+      return static_cast<size_t>(k.second) ^ static_cast<size_t>(k.first);
+    }
+  };
+  std::unordered_map<std::pair<OpType, uint64_t>, ShapeTally, ShapeKeyHash>
+      shapes_;
+
+  std::atomic<int64_t> num_nodes_{0};
   std::atomic<int64_t> epoch_{0};
-  int64_t next_id_ = 1;
+  std::atomic<int64_t> next_id_{1};
   double aging_alpha_;
 };
 

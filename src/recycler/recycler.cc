@@ -97,6 +97,13 @@ struct PreparedQuery::MNode {
   /// nodes inside replaced subtrees.
   const PlanNode* exec_plan = nullptr;
   std::vector<std::unique_ptr<MNode>> children;
+  /// Unmatched nodes: the graph node built for this plan node before the
+  /// exclusive lock is taken (`mapping` is then the one at its output).
+  /// InsertMissing publishes it unless revalidation finds an equal node.
+  std::unique_ptr<RGNode> draft;
+  /// Set instead of `draft` when an earlier node of the same query built
+  /// the same graph node (intra-query sharing): this node resolves to it.
+  MNode* twin = nullptr;
 };
 
 PreparedQuery::PreparedQuery() = default;
@@ -136,6 +143,47 @@ uint64_t MappedSignature(const PlanNode& node, const NameMap& mapping) {
     sig |= ColumnSignatureBit(it == mapping.end() ? c : it->second);
   }
   return sig;
+}
+
+/// The published node of `type` with `hash_key` over `children` whose
+/// parameter fingerprint equals fp(), evaluated once and only when a
+/// candidate passes the cheaper checks. Leaves probe the global leaf hash
+/// table under `leaf_key` (Algorithm 1 lines 1-5); other nodes probe the
+/// parents of their first child, pre-filtered by hash key and signature
+/// (lines 8-13). Caller holds a graph lock.
+template <typename FpFn>
+RGNode* FindNode(const RecyclerGraph& graph, OpType type, uint64_t hash_key,
+                 uint64_t sig, const std::vector<RGNode*>& children,
+                 const std::string& leaf_key, FpFn fp) {
+  std::optional<std::string> want;
+  auto same_params = [&](const RGNode* cand) {
+    if (!want.has_value()) want = fp();
+    return cand->param_fp == *want;
+  };
+  if (children.empty()) {
+    for (RGNode* cand : graph.LeafCandidates(leaf_key, hash_key)) {
+      if (cand->type == type && same_params(cand)) return cand;
+    }
+    return nullptr;
+  }
+  auto range = children[0]->parents.equal_range(hash_key);
+  for (auto it = range.first; it != range.second; ++it) {
+    RGNode* cand = it->second;
+    if (cand->type == type && cand->signature == sig &&
+        cand->children == children && same_params(cand)) {
+      return cand;
+    }
+  }
+  return nullptr;
+}
+
+/// Extends `mapping` across `node`'s outputs to `g`'s graph names
+/// (positional): the mapping above a matched node.
+void MapOutputs(const PlanNode& node, const RGNode& g, NameMap* mapping) {
+  const Schema& schema = node.output_schema();
+  for (int i = 0; i < schema.num_fields(); ++i) {
+    (*mapping)[schema.field(i).name] = g.output_names[i];
+  }
 }
 
 /// Types whose results are worth caching. Base-table scans are excluded:
@@ -287,7 +335,7 @@ bool Recycler::MaybeSpill(RGNode* node) {
   if (!cold_tier_.enabled()) return false;
   if (cold_tier_.Has(node)) return true;  // demotion fast path
   double benefit = BenefitOf(node);
-  if (benefit < config_.spill_min_benefit) return false;
+  if (benefit < kSpillMinBenefit) return false;
   TablePtr snapshot;
   std::map<std::string, TableStamp> stamps;
   {
@@ -520,7 +568,6 @@ int64_t Recycler::CheckpointColdTier() {
     std::lock_guard<std::mutex> clock(cache_mu_);
     for (RGNode* node : cache_.Entries()) {
       if (cold_tier_.Has(node)) continue;
-      if (BenefitOf(node) < config_.spill_min_benefit) continue;
       if (MaybeSpill(node)) ++written;
     }
   }
@@ -588,7 +635,7 @@ double Recycler::EstimatedSize(const RGNode* node) const {
 
 double Recycler::BenefitOf(const RGNode* node) const {
   double h = graph_.AgedH(node);
-  if (h <= 0) h = config_.speculation_h;
+  if (h <= 0) h = kSpeculationH;
   double size = std::max(1.0, EstimatedSize(node));
   return TrueCost(node) * h / size;
 }
@@ -609,41 +656,19 @@ RGNode* Recycler::MatchOne(const PlanNode& node,
                            const std::vector<RGNode*>& child_g,
                            const NameMap& mapping) const {
   if (child_g.empty()) {
-    // Leaf: probe the global leaf hash table (Algorithm 1 lines 1-5).
-    for (RGNode* cand : graph_.LeafCandidates(LeafKey(node), node.HashKey())) {
-      if (cand->type == node.type() &&
-          cand->param_fp == node.ParamFingerprint(nullptr)) {
-        return cand;
-      }
-    }
-    return nullptr;
+    return FindNode(graph_, node.type(), node.HashKey(), 0, child_g,
+                    LeafKey(node),
+                    [&] { return node.ParamFingerprint(nullptr); });
   }
-  // Non-leaf: candidates are the parents of the first matched child
-  // (Algorithm 1 lines 8-13), pre-filtered by hash key and signature.
-  uint64_t sig = MappedSignature(node, mapping);
-  auto range = child_g[0]->parents.equal_range(node.HashKey());
-  for (auto it = range.first; it != range.second; ++it) {
-    RGNode* cand = it->second;
-    if (cand->type != node.type()) continue;
-    if (cand->signature != sig) continue;
-    if (cand->children.size() != child_g.size()) continue;
-    bool same_children = true;
-    for (size_t i = 0; i < child_g.size(); ++i) {
-      if (cand->children[i] != child_g[i]) {
-        same_children = false;
-        break;
-      }
-    }
-    if (!same_children) continue;
-    if (cand->param_fp != node.ParamFingerprint(&mapping)) continue;
-    return cand;
-  }
-  return nullptr;
+  return FindNode(graph_, node.type(), node.HashKey(),
+                  MappedSignature(node, mapping), child_g, "",
+                  [&] { return node.ParamFingerprint(&mapping); });
 }
 
-RGNode* Recycler::InsertOne(const PlanNode& node,
-                            const std::vector<RGNode*>& child_g,
-                            NameMap* mapping, int64_t query_id) {
+std::unique_ptr<RGNode> Recycler::BuildNode(const PlanNode& node,
+                                            const std::vector<RGNode*>& child_g,
+                                            NameMap* mapping,
+                                            int64_t query_id) {
   auto gnode = std::make_unique<RGNode>();
   gnode->id = graph_.NextId();
   gnode->type = node.type();
@@ -660,6 +685,7 @@ RGNode* Recycler::InsertOne(const PlanNode& node,
   gnode->base_tables = node.base_tables();
   gnode->inserted_by = query_id;
   gnode->h_epoch = graph_.epoch();
+  gnode->leaf_key = LeafKey(node);
 
   // Output names: new names get the "#<id>" suffix (the paper appends a
   // query-unique identifier); pass-through names keep their graph name.
@@ -680,7 +706,7 @@ RGNode* Recycler::InsertOne(const PlanNode& node,
     gnode->output_names.push_back(graph_name);
     gnode->output_types.push_back(schema.field(i).type);
   }
-  return graph_.AddNode(std::move(gnode), LeafKey(node));
+  return gnode;
 }
 
 std::unique_ptr<Recycler::MNode> Recycler::MatchTree(const PlanPtr& plan) {
@@ -710,11 +736,7 @@ std::unique_ptr<Recycler::MNode> Recycler::MatchTree(const PlanPtr& plan) {
       RGNode* g = self->MatchOne(*p, child_g, m->mapping);
       if (g != nullptr) {
         m->gnode = g;
-        // Extend the mapping across this node's outputs (positional).
-        const Schema& schema = p->output_schema();
-        for (int i = 0; i < schema.num_fields(); ++i) {
-          m->mapping[schema.field(i).name] = g->output_names[i];
-        }
+        MapOutputs(*p, *g, &m->mapping);
       }
       return m;
     }
@@ -724,32 +746,87 @@ std::unique_ptr<Recycler::MNode> Recycler::MatchTree(const PlanPtr& plan) {
   return w.Walk(plan);
 }
 
-void Recycler::InsertMissing(MNode* m, PreparedQuery* prepared) {
-  // Phase 2 (caller holds the exclusive lock): re-validate unmatched nodes
-  // (a concurrent query may have inserted them since phase 1 — the
-  // backwards-validation step of the paper's OCC scheme) and insert the
-  // rest.
+void Recycler::InsertMissing(MNode* root, PreparedQuery* prepared) {
+  if (root->gnode != nullptr) return;
+  // Phase 2a, no lock: build every unmatched node (fingerprints, parameter
+  // clones, "#<id>" names) so the exclusive section only revalidates and
+  // publishes.
+  std::vector<MNode*> drafted;
+  BuildMissing(root, prepared->query_id_, &drafted);
+  // Phase 2b: revalidate under the exclusive lock (a concurrent query may
+  // have inserted a node since phase 1 — the backwards-validation step of
+  // the paper's OCC scheme) and publish the rest.
+  std::unique_lock<std::shared_mutex> lock(graph_.mutex());
+  PublishMissing(root, prepared);
+}
+
+void Recycler::BuildMissing(MNode* m, int64_t query_id,
+                            std::vector<MNode*>* drafted) {
   if (m->gnode != nullptr) return;
   std::vector<RGNode*> child_g;
+  NameMap mapping;
   for (auto& cm : m->children) {
-    InsertMissing(cm.get(), prepared);
+    BuildMissing(cm.get(), query_id, drafted);
+    MNode* built = cm->twin != nullptr ? cm->twin : cm.get();
+    child_g.push_back(cm->gnode != nullptr ? cm->gnode : built->draft.get());
+    mapping.insert(cm->mapping.begin(), cm->mapping.end());
+  }
+  // Intra-query sharing: an identical subtree built earlier in this query
+  // is the same graph node (publishing in post-order would match it).
+  const uint64_t hash_key = m->plan->HashKey();
+  std::optional<std::string> fp;
+  for (MNode* d : *drafted) {
+    const RGNode& n = *d->draft;
+    if (n.type != m->plan->type() || n.hash_key != hash_key ||
+        n.children != child_g) {
+      continue;
+    }
+    if (!fp.has_value()) fp = m->plan->ParamFingerprint(&mapping);
+    if (n.param_fp == *fp) {
+      m->twin = d;
+      m->mapping = std::move(mapping);
+      MapOutputs(*m->plan, n, &m->mapping);
+      return;
+    }
+  }
+  m->mapping = std::move(mapping);
+  m->draft = BuildNode(*m->plan, child_g, &m->mapping, query_id);
+  drafted->push_back(m);
+}
+
+void Recycler::PublishMissing(MNode* m, PreparedQuery* prepared) {
+  if (m->gnode != nullptr) return;
+  std::vector<RGNode*> child_g;
+  NameMap mapping;
+  for (auto& cm : m->children) {
+    PublishMissing(cm.get(), prepared);
     child_g.push_back(cm->gnode);
+    mapping.insert(cm->mapping.begin(), cm->mapping.end());
   }
-  m->mapping.clear();
-  for (const auto& cm : m->children) {
-    m->mapping.insert(cm->mapping.begin(), cm->mapping.end());
+  RGNode* g;
+  if (m->twin != nullptr) {
+    g = m->twin->gnode;  // resolved earlier in post-order
+  } else {
+    if (m->draft->children != child_g) {
+      // A child lost its insert race, so the draft names a node that was
+      // never published: rebuild it over the winner (its id goes unused).
+      m->mapping = mapping;
+      m->draft =
+          BuildNode(*m->plan, child_g, &m->mapping, prepared->query_id_);
+    }
+    const RGNode& d = *m->draft;
+    g = FindNode(graph_, d.type, d.hash_key, d.signature, d.children,
+                 d.leaf_key, [&d] { return d.param_fp; });
   }
-  RGNode* g = MatchOne(*m->plan, child_g, m->mapping);
   if (g != nullptr) {
     m->gnode = g;
     m->inserted = false;
-    const Schema& schema = m->plan->output_schema();
-    for (int i = 0; i < schema.num_fields(); ++i) {
-      m->mapping[schema.field(i).name] = g->output_names[i];
-    }
+    m->draft = nullptr;
+    m->mapping = std::move(mapping);
+    MapOutputs(*m->plan, *g, &m->mapping);
     return;
   }
-  m->gnode = InsertOne(*m->plan, child_g, &m->mapping, prepared->query_id_);
+  m->gnode = graph_.AddNode(std::move(m->draft));
   m->inserted = true;
   // Warm-up: a node inserted for the first time in this process may have
   // a spilled image from a previous one — or from a fleet peer — so
@@ -771,7 +848,7 @@ void Recycler::BumpImportance(MNode* m, bool has_materialized_ancestor) {
   if (!m->inserted && !has_materialized_ancestor) {
     graph_.FoldAging(g);
     AtomicAddClamped(g->h, 1.0, 0.0);
-    g->match_count.fetch_add(1);
+    if (g->match_count.fetch_add(1) == 0) g->shape->rematched.fetch_add(1);
   }
   bool flag =
       has_materialized_ancestor || g->mat_state.load() == MatState::kCached;
@@ -1290,8 +1367,12 @@ bool Recycler::MaybeInjectStore(RGNode* g, const PlanNode* exec_plan,
     return false;
   }
   // Speculation (§III-D): never executed before; buffer and decide at
-  // run time.
-  if (speculative_ok && TryClaimInFlight(g)) {
+  // run time — unless the graph already shows that fresh instances of
+  // this shape are almost never matched again (see kSpeculationEvidence).
+  if (speculative_ok &&
+      kSpeculationEvidence * (g->shape->rematched.load() + 1) >
+          g->shape->instances.load() &&
+      TryClaimInFlight(g)) {
     prepared->stores_[exec_plan] =
         MakeStoreRequest(g, StoreMode::kSpeculative, prepared);
     return true;
@@ -1384,7 +1465,7 @@ bool Recycler::SpeculationKeepGoing(RGNode* node,
     std::shared_lock<std::shared_mutex> lock(graph_.mutex());
     h = graph_.AgedH(node);
   }
-  if (h <= 0) h = config_.speculation_h;
+  if (h <= 0) h = kSpeculationH;
   double size = std::max(1.0, est.est_size_bytes);
   double benefit = est.est_cost_ms * h / size;
   std::lock_guard<std::mutex> clock(cache_mu_);
@@ -1626,7 +1707,7 @@ std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan) {
   // --- proactive rewriting (PA mode, §IV-B) ---------------------------
   std::unique_ptr<MNode> matched;
   if (config_.mode == RecyclerMode::kProactive) {
-    PlanPtr topn = RewriteTopNProactive(plan, config_.proactive_topn_limit);
+    PlanPtr topn = RewriteTopNProactive(plan, kProactiveTopNLimit);
     if (topn != plan) {
       plan = std::move(topn);
       plan->Bind(*catalog_);
@@ -1642,10 +1723,10 @@ std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan) {
       // has enough history for a store decision.
       cube->plan->Bind(*catalog_);
       auto pm = MatchTree(cube->plan);
+      InsertMissing(pm.get(), prepared.get());
       bool gate_go = false;
       {
-        std::unique_lock<std::shared_mutex> lock(graph_.mutex());
-        InsertMissing(pm.get(), prepared.get());
+        std::shared_lock<std::shared_mutex> lock(graph_.mutex());
         BumpImportance(pm.get(), false);
         // Find the gate node's MNode.
         std::vector<MNode*> stack{pm.get()};
@@ -1675,22 +1756,16 @@ std::unique_ptr<PreparedQuery> Recycler::Prepare(PlanPtr plan) {
 
   // --- matching + insertion (§III-A/B) --------------------------------
   if (matched == nullptr) {
-    matched = MatchTree(plan);  // phase 1, shared lock
-    if (matched->gnode != nullptr) {
-      // Fully matched (a node only matches once all its children have):
-      // the hot steady-state path. Statistics are atomic, so the h bumps
-      // run under the shared lock and concurrent streams never serialize
-      // on the exclusive lock.
-      std::shared_lock<std::shared_mutex> lock(graph_.mutex());
-      BumpImportance(matched.get(), false);  // §III-C
-    } else {
-      std::unique_lock<std::shared_mutex> lock(graph_.mutex());
-      InsertMissing(matched.get(), prepared.get());  // phase 2 + OCC
-      BumpImportance(matched.get(), false);               // §III-C
-    }
+    matched = MatchTree(plan);                     // phase 1, shared lock
+    InsertMissing(matched.get(), prepared.get());  // phase 2 + OCC
+    // Statistics are atomic, so the h bumps run under the shared lock: a
+    // fully matched query (the hot steady-state path) never takes the
+    // exclusive lock.
+    std::shared_lock<std::shared_mutex> lock(graph_.mutex());
+    BumpImportance(matched.get(), false);  // §III-C
   }
   prepared->trace_.match_ms = match_sw.ElapsedMs();
-  prepared->trace_.graph_nodes_at_match = graph_.Stats().num_nodes;
+  prepared->trace_.graph_nodes_at_match = graph_.num_nodes();
   prepared->matched_ = std::move(matched);
 
   // --- reuse rewriting (may stall on in-flight results) ----------------

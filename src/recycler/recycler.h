@@ -31,6 +31,20 @@ enum class RecyclerMode : uint8_t { kOff, kHistory, kSpeculation, kProactive };
 
 const char* RecyclerModeName(RecyclerMode mode);
 
+/// Constant h used for speculative benefit estimates (§III-D).
+inline constexpr double kSpeculationH = 0.001;
+/// Proactive top-N limit L (§IV-B: topN(Q, 10000) subsumes topN(Q, N)).
+inline constexpr int64_t kProactiveTopNLimit = 10000;
+/// Minimum benefit (Eq. 1) an evicted result must retain to be worth
+/// spilling; 0 spills every evicted result.
+inline constexpr double kSpillMinBenefit = 0.0;
+/// Speculation evidence ratio: a fresh node is stored speculatively only
+/// while kSpeculationEvidence * (rematched + 1) > instances of its shape
+/// (see ShapeTally), i.e. while fewer than kSpeculationEvidence instances
+/// per re-matched one went unused. A fresh instance that recurs is still
+/// stored on its second sighting by the history rule.
+inline constexpr int64_t kSpeculationEvidence = 8;
+
 /// Tunables for the recycler.
 struct RecyclerConfig {
   RecyclerMode mode = RecyclerMode::kSpeculation;
@@ -38,8 +52,6 @@ struct RecyclerConfig {
   int64_t cache_bytes = 256ll << 20;
   /// Aging factor alpha (Eq. 5); 1.0 disables aging.
   double aging_alpha = 1.0;
-  /// Constant h used for speculative benefit estimates (§III-D).
-  double speculation_h = 0.001;
   /// Hard cap for speculative buffering per store operator.
   int64_t speculation_buffer_cap = 64ll << 20;
   /// Enables subsumption-based reuse (§IV-A).
@@ -49,8 +61,6 @@ struct RecyclerConfig {
   /// enable_subsumption: disabling single-superset subsumption alone
   /// does not turn stitching off.
   bool enable_partial_reuse = true;
-  /// Proactive top-N limit L (§IV-B: topN(Q, 10000) subsumes topN(Q, N)).
-  int64_t proactive_topn_limit = 10000;
   /// Upper bound on stalling for a concurrent materialization.
   int64_t stall_timeout_ms = 30000;
   /// Replacement policy (kBenefit = paper; others for ablations).
@@ -65,9 +75,6 @@ struct RecyclerConfig {
   /// Byte cap on the spill directory (second-chance replacement).
   /// Must be positive when spill_dir is set.
   int64_t cold_tier_capacity_bytes = 1ll << 30;
-  /// Minimum benefit (Eq. 1) an evicted result must retain to be worth
-  /// spilling; 0 spills every evicted result.
-  double spill_min_benefit = 0.0;
   /// Compress cold-tier spill payloads (per-column codecs).
   /// Stored results are bit-identical either way; compression only
   /// changes how many entries fit under cold_tier_capacity_bytes.
@@ -393,11 +400,22 @@ class Recycler {
 
   // --- matching & insertion (§III-A/B) --------------------------------
   std::unique_ptr<MNode> MatchTree(const PlanPtr& plan);
-  void InsertMissing(MNode* m, PreparedQuery* prepared);
+  /// Inserts the nodes MatchTree left unmatched: builds them without a
+  /// lock, then revalidates and publishes them under the exclusive lock.
+  void InsertMissing(MNode* root, PreparedQuery* prepared);
+  /// Post-order: a draft (or a twin) for every unmatched node, no lock.
+  void BuildMissing(MNode* m, int64_t query_id, std::vector<MNode*>* drafted);
+  /// Post-order, exclusive lock held: adopts an equal published node or
+  /// publishes the draft.
+  void PublishMissing(MNode* m, PreparedQuery* prepared);
   RGNode* MatchOne(const PlanNode& node, const std::vector<RGNode*>& child_g,
                    const NameMap& mapping) const;
-  RGNode* InsertOne(const PlanNode& node, const std::vector<RGNode*>& child_g,
-                    NameMap* mapping, int64_t query_id);
+  /// Builds the unpublished graph node for `node` over `child_g` with a
+  /// fresh id. `mapping` enters as the children's query->graph names and
+  /// leaves extended across the node's outputs. Needs no graph lock.
+  std::unique_ptr<RGNode> BuildNode(const PlanNode& node,
+                                    const std::vector<RGNode*>& child_g,
+                                    NameMap* mapping, int64_t query_id);
   static std::string LeafKey(const PlanNode& node);
 
   // --- h maintenance (§III-C) ------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <variant>
@@ -51,6 +52,24 @@ bool GetValue(Cursor* c, T* v) {
   return true;
 }
 bool GetValue(Cursor* c, std::string* v) { return c->GetString(v); }
+
+/// Fewest payload bytes one encoded value of T takes (a string is at
+/// least its 4-byte length prefix).
+template <typename T>
+constexpr size_t MinValueBytes() {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return 4;
+  } else {
+    return sizeof(T);
+  }
+}
+
+/// True when the rest of the payload can hold `n` items of at least
+/// `bytes_each` bytes: checked before anything is sized from a row count,
+/// so an implausible header fails with a Status instead of an allocation.
+bool PayloadFits(const Cursor& c, int64_t n, size_t bytes_each) {
+  return n >= 0 && static_cast<uint64_t>(n) <= c.remaining() / bytes_each;
+}
 
 /// Bit-exact equality: doubles compare by bit pattern so RLE round-trips
 /// NaNs and signed zeros unchanged.
@@ -135,8 +154,10 @@ void RawEncode(const std::string* data, int64_t n, std::string* out) {
 
 template <typename T>
 Status RawDecode(Cursor* c, int64_t n, std::vector<T>* out) {
+  if (!PayloadFits(*c, n, sizeof(T))) {
+    return Status::Internal("raw payload truncated");
+  }
   const size_t need = static_cast<size_t>(n) * sizeof(T);
-  if (c->remaining() < need) return Status::Internal("raw payload truncated");
   out->resize(static_cast<size_t>(n));
   // An empty vector's data() may be null; memcpy requires non-null even
   // for a zero-byte copy.
@@ -145,6 +166,9 @@ Status RawDecode(Cursor* c, int64_t n, std::vector<T>* out) {
   return Status::OK();
 }
 Status RawDecode(Cursor* c, int64_t n, std::vector<std::string>* out) {
+  if (!PayloadFits(*c, n, MinValueBytes<std::string>())) {
+    return Status::Internal("raw payload truncated");
+  }
   out->reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     std::string s;
@@ -180,7 +204,8 @@ template <typename T>
 Status RleDecode(Cursor* c, int64_t n, std::vector<T>* out) {
   uint32_t num_runs = 0;
   if (!c->GetU32(&num_runs)) return Status::Internal("rle payload truncated");
-  out->reserve(static_cast<size_t>(n));
+  // The runs must add up to n before n rows are allocated.
+  const size_t runs_start = c->pos;
   int64_t total = 0;
   for (uint32_t r = 0; r < num_runs; ++r) {
     uint32_t run = 0;
@@ -190,9 +215,17 @@ Status RleDecode(Cursor* c, int64_t n, std::vector<T>* out) {
     }
     total += run;
     if (run == 0 || total > n) return Status::Internal("rle run overflow");
-    out->insert(out->end(), static_cast<size_t>(run), v);
   }
   if (total != n) return Status::Internal("rle row count mismatch");
+  c->pos = runs_start;
+  out->reserve(static_cast<size_t>(n));
+  for (uint32_t r = 0; r < num_runs; ++r) {
+    uint32_t run = 0;
+    T v{};
+    c->GetU32(&run);
+    GetValue(c, &v);
+    out->insert(out->end(), static_cast<size_t>(run), v);
+  }
   return Status::OK();
 }
 
@@ -274,6 +307,9 @@ Status DictReadHeader(Cursor* c, int64_t n, std::vector<T>* dict, int* width) {
   if (dict_size > static_cast<uint64_t>(n)) {
     return Status::Internal("dict size exceeds row count");
   }
+  if (!PayloadFits(*c, dict_size, MinValueBytes<T>())) {
+    return Status::Internal("dict payload truncated");
+  }
   dict->reserve(dict_size);
   for (uint32_t i = 0; i < dict_size; ++i) {
     T v{};
@@ -293,6 +329,9 @@ Status DictDecode(Cursor* c, int64_t n, std::vector<T>* out) {
   std::vector<T> dict;
   int width = 0;
   RDB_RETURN_NOT_OK(DictReadHeader(c, n, &dict, &width));
+  if (!PayloadFits(*c, n, static_cast<size_t>(width))) {
+    return Status::Internal("dict payload truncated");
+  }
   out->reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     uint32_t code = 0;
@@ -380,6 +419,9 @@ Status ForDecode(Cursor* c, int64_t n, std::vector<T>* out) {
   int64_t base = 0;
   int width = 0;
   RDB_RETURN_NOT_OK(ForReadHeader(c, &base, &width));
+  if (!PayloadFits(*c, n, static_cast<size_t>(width))) {
+    return Status::Internal("for payload truncated");
+  }
   out->reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     uint64_t d = 0;
@@ -658,8 +700,8 @@ Status DecodeColumn(const EncodedColumn& enc, ColumnPtr* out) {
   if (enc.num_rows < 0) {
     return Status::Internal("encoded column has negative row count");
   }
-  // Plausibility bound before any allocation: every row costs at least
-  // one payload byte under every non-RLE encoding; RLE charges per run.
+  // Each decoder bounds num_rows by what its payload can encode before
+  // sizing anything from it (RLE by the sum of its runs).
   ColumnPtr col = MakeColumn(enc.type);
   Status st;
   switch (enc.type) {

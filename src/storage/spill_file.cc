@@ -358,7 +358,8 @@ ColumnPtr GatherRows(const ColumnVector& col, const std::vector<int32_t>& sel) {
 }  // namespace
 
 Status WriteSpillFile(const std::string& path, const Table& table,
-                      const SpillFileMeta& meta, bool compress) {
+                      const SpillFileMeta& meta, bool compress,
+                      int64_t* raw_bytes) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
@@ -367,6 +368,7 @@ Status WriteSpillFile(const std::string& path, const Table& table,
   }
   SpillFileMeta stamped = meta;
   stamped.raw_bytes = RawPayloadBytes(table);
+  if (raw_bytes != nullptr) *raw_bytes = stamped.raw_bytes;
   std::string header = SerializeHeader(stamped);
   std::string prefix;
   prefix.append(kMagic, 4);

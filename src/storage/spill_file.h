@@ -88,9 +88,11 @@ struct SpillFileMeta {
 /// every column is stored kRaw (still framed as encoded blocks). On any
 /// error the final path is left untouched (a stale tmp file may remain;
 /// directory scans delete those). `meta.raw_bytes` is computed by the
-/// writer; the caller's value is ignored.
+/// writer; the caller's value is ignored, and `raw_bytes` (optional)
+/// receives the computed one.
 Status WriteSpillFile(const std::string& path, const Table& table,
-                      const SpillFileMeta& meta, bool compress = true);
+                      const SpillFileMeta& meta, bool compress = true,
+                      int64_t* raw_bytes = nullptr);
 
 /// Reads only the header of `path` (directory-scan fast path; the
 /// payload checksum is NOT verified here).

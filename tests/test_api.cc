@@ -48,15 +48,6 @@ Query SalesSince(Database& db, ExprPtr cutoff) {
 // Configuration validation (Database::Open)
 // ---------------------------------------------------------------------------
 
-TEST(ConfigValidation, RejectsNegativeSpeculationH) {
-  RecyclerConfig cfg;
-  cfg.speculation_h = -0.5;
-  Status st = ValidateRecyclerConfig(cfg);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("speculation_h"), std::string::npos);
-}
-
 TEST(ConfigValidation, RejectsNonPositiveStallTimeout) {
   RecyclerConfig cfg;
   cfg.stall_timeout_ms = 0;
@@ -82,24 +73,15 @@ TEST(ConfigValidation, RejectsBadAgingAlphaAndLimits) {
   cfg.aging_alpha = 1.5;
   EXPECT_FALSE(ValidateRecyclerConfig(cfg).ok());
   cfg = RecyclerConfig();
-  cfg.proactive_topn_limit = 0;
-  EXPECT_FALSE(ValidateRecyclerConfig(cfg).ok());
-  cfg = RecyclerConfig();
   cfg.speculation_buffer_cap = -1;
   EXPECT_FALSE(ValidateRecyclerConfig(cfg).ok());
 }
 
 TEST(ConfigValidation, RejectsBadColdTierOptions) {
   RecyclerConfig cfg;
-  cfg.spill_min_benefit = -0.1;  // benefits are never negative
-  Status st = ValidateRecyclerConfig(cfg);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("spill_min_benefit"), std::string::npos);
-
-  cfg = RecyclerConfig();
   cfg.spill_dir = "/tmp/rdb-spill-validate";
   cfg.cold_tier_capacity_bytes = 0;
-  st = ValidateRecyclerConfig(cfg);
+  Status st = ValidateRecyclerConfig(cfg);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("cold_tier_capacity_bytes"), std::string::npos);
   cfg.cold_tier_capacity_bytes = -4096;
@@ -126,7 +108,7 @@ TEST(ConfigValidation, OpenRejectsUnwritableSpillDir) {
 
 TEST(ConfigValidation, OpenReturnsStatusAndLeavesOutUntouched) {
   DatabaseOptions options;
-  options.recycler.speculation_h = -1;
+  options.recycler.stall_timeout_ms = -1;
   std::unique_ptr<Database> db;
   Status st = Database::Open(options, &db);
   EXPECT_FALSE(st.ok());

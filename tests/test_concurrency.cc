@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "recycler/recycler.h"
 #include "test_util.h"
+#include "trace/trace_format.h"
 #include "workload/driver.h"
 
 namespace recycledb {
@@ -170,6 +172,58 @@ TEST_F(ConcurrencyTest, InvalidateAndFlushRaceInFlightScans) {
   stop.store(true);
   sweeper.join();
   EXPECT_EQ(mismatches.load(), 0);
+  ExpectQuiescentConsistency(rec);
+}
+
+TEST_F(ConcurrencyTest, RacingInsertsStayConsistent) {
+  // Each round releases every thread at once on the same fresh plan, so
+  // they build its nodes outside the exclusive lock concurrently and the
+  // later ones revalidate against the first one's published nodes. The
+  // graph must hold each node once and every stream must see the bypass
+  // result. (Whether a round really overlaps depends on scheduling, so
+  // the test does not require a lost race.)
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 40;
+  std::vector<uint64_t> expected;
+  {
+    Recycler off(&catalog_, OffConfig());
+    for (int r = 0; r < kRounds; ++r) {
+      expected.push_back(trace::ResultDigest(*off.Execute(AggPlan(r)).table));
+    }
+  }
+  RecyclerConfig cfg;
+  cfg.mode = RecyclerMode::kSpeculation;
+  Recycler rec(&catalog_, cfg);
+  std::atomic<int> arrived{0};
+  std::vector<char> ok(kThreads * kRounds, 0);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      for (int r = 0; r < kRounds; ++r) {
+        arrived.fetch_add(1);
+        while (arrived.load() < (r + 1) * kThreads) std::this_thread::yield();
+        ExecResult res = rec.Execute(AggPlan(r));
+        ok[r * kThreads + i] = trace::ResultDigest(*res.table) == expected[r];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int j = 0; j < kThreads * kRounds; ++j) {
+    EXPECT_TRUE(ok[j]) << "round " << j / kThreads << " thread "
+                       << j % kThreads;
+  }
+  std::set<std::string> identities;
+  {
+    std::shared_lock<std::shared_mutex> lock(rec.graph().mutex());
+    for (const auto& n : rec.graph().nodes()) {
+      std::string id = n->param_fp;
+      for (const RGNode* c : n->children) id += "@" + std::to_string(c->id);
+      EXPECT_TRUE(identities.insert(id).second) << "duplicate node: " << id;
+    }
+  }
+  const int64_t nodes = 1 + 2 * kRounds;  // scan + select/agg per round
+  EXPECT_EQ(rec.graph().num_nodes(), nodes);
+  EXPECT_EQ(rec.graph().Stats().num_nodes, nodes);
   ExpectQuiescentConsistency(rec);
 }
 

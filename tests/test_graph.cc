@@ -100,6 +100,54 @@ TEST_F(GraphTest, IntraQuerySharingDetected) {
   EXPECT_EQ(rec.graph().Stats().num_nodes, 5);
 }
 
+TEST_F(GraphTest, ShapeTallyCountsInstancesAndFirstRematches) {
+  RecyclerConfig cfg;
+  cfg.mode = RecyclerMode::kHistory;
+  cfg.cache_bytes = 0;  // no materialized ancestors: every match counts
+  Recycler rec(&catalog_, cfg);
+  rec.Execute(AggPlan(10));
+  rec.Execute(AggPlan(20));
+  rec.Execute(AggPlan(10));
+  rec.Execute(AggPlan(10));  // a second re-match is not new evidence
+  std::shared_lock<std::shared_mutex> lock(rec.graph().mutex());
+  std::vector<RGNode*> aggs, selects;
+  for (const auto& n : rec.graph().nodes()) {
+    if (n->type == OpType::kAggregate) aggs.push_back(n.get());
+    if (n->type == OpType::kSelect) selects.push_back(n.get());
+  }
+  ASSERT_EQ(aggs.size(), 2u);
+  ASSERT_EQ(selects.size(), 2u);
+  // Aggregates over different literals share one template shape...
+  ASSERT_EQ(aggs[0]->shape, aggs[1]->shape);
+  EXPECT_EQ(aggs[0]->shape->instances.load(), 2);
+  EXPECT_EQ(aggs[0]->shape->rematched.load(), 1);
+  // ...while each literal set of a Select is its own shape.
+  ASSERT_NE(selects[0]->shape, selects[1]->shape);
+  EXPECT_EQ(selects[0]->shape->instances.load(), 1);
+  EXPECT_EQ(selects[0]->shape->rematched.load(), 1);  // threshold 10
+  EXPECT_EQ(selects[1]->shape->rematched.load(), 0);  // threshold 20
+}
+
+TEST_F(GraphTest, GraphSizeAtMatchIsTheNodeCount) {
+  RecyclerConfig cfg;
+  cfg.mode = RecyclerMode::kHistory;
+  cfg.cache_bytes = 0;  // nothing cached, so truncation may drop anything
+  Recycler rec(&catalog_, cfg);
+  for (int64_t threshold : {10, 20, 10, 30}) {
+    QueryTrace t;
+    rec.Execute(AggPlan(threshold), &t);
+    EXPECT_EQ(t.graph_nodes_at_match, rec.graph().Stats().num_nodes);
+  }
+  EXPECT_EQ(rec.graph().Stats().num_nodes, 7);  // scan + 3 selects + 3 aggs
+  // Idle since before the last query: the 10 and 20 chains.
+  EXPECT_EQ(rec.TruncateGraph(/*idle_epochs=*/1), 4);
+  EXPECT_EQ(rec.graph().num_nodes(), rec.graph().Stats().num_nodes);
+  QueryTrace t;
+  rec.Execute(AggPlan(40), &t);
+  EXPECT_EQ(t.graph_nodes_at_match, 5);
+  EXPECT_EQ(t.graph_nodes_at_match, rec.graph().Stats().num_nodes);
+}
+
 TEST_F(GraphTest, ImportanceCountsReoccurrences) {
   RecyclerConfig cfg;
   cfg.mode = RecyclerMode::kHistory;

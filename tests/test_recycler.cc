@@ -8,6 +8,7 @@
 
 #include "recycler/recycler.h"
 #include "test_util.h"
+#include "trace/trace_format.h"
 
 namespace recycledb {
 namespace {
@@ -83,6 +84,50 @@ TEST_F(RecyclerTest, ReuseIsTransparentAcrossAliases) {
   EXPECT_EQ(r2.table->schema().field(1).name, "beta");  // caller's alias
   EXPECT_EQ(recycledb::testing::RowMultiset(*r1.table),
             recycledb::testing::RowMultiset(*r2.table));
+}
+
+TEST_F(RecyclerTest, SpeculationStopsOnShapesThatAreNeverRematched) {
+  // Every threshold is a fresh instance of one Aggregate shape (its hash
+  // key carries no literals). Once kSpeculationEvidence instances went
+  // unmatched, a fresh one is no longer stored on sight.
+  RecyclerConfig cfg;
+  cfg.mode = RecyclerMode::kSpeculation;
+  Recycler rec(&catalog_, cfg);
+  QueryTrace first;
+  rec.Execute(AggPlan(0), &first);
+  EXPECT_EQ(first.num_materialized, 1);  // new shape: speculative store
+  for (int64_t i = 1; i < kSpeculationEvidence; ++i) rec.Execute(AggPlan(i));
+
+  const int64_t fresh = kSpeculationEvidence;
+  QueryTrace t1, t2, t3;
+  rec.Execute(AggPlan(fresh), &t1);
+  EXPECT_EQ(t1.num_materialized, 0);  // no evidence of reuse: not stored
+  rec.Execute(AggPlan(fresh), &t2);
+  EXPECT_EQ(t2.num_reuses, 0);
+  EXPECT_EQ(t2.num_materialized, 1);  // it recurred: the history rule stores
+  ExecResult r3 = rec.Execute(AggPlan(fresh), &t3);
+  EXPECT_EQ(t3.reuse_mode, ReuseMode::kExact);
+
+  RecyclerConfig off;
+  off.mode = RecyclerMode::kOff;
+  Recycler bypass(&catalog_, off);
+  EXPECT_EQ(trace::ResultDigest(*r3.table),
+            trace::ResultDigest(*bypass.Execute(AggPlan(fresh)).table));
+}
+
+TEST_F(RecyclerTest, SpeculationContinuesOnShapesThatAreRematched) {
+  // Each instance recurs once, so the shape keeps earning speculation:
+  // every fresh instance is stored on sight and hit on its recurrence.
+  RecyclerConfig cfg;
+  cfg.mode = RecyclerMode::kSpeculation;
+  Recycler rec(&catalog_, cfg);
+  for (int64_t i = 0; i < 3 * kSpeculationEvidence; ++i) {
+    QueryTrace fresh, again;
+    rec.Execute(AggPlan(i), &fresh);
+    rec.Execute(AggPlan(i), &again);
+    EXPECT_EQ(fresh.num_materialized, 1) << "instance " << i;
+    EXPECT_EQ(again.reuse_mode, ReuseMode::kExact) << "instance " << i;
+  }
 }
 
 TEST_F(RecyclerTest, ZeroCacheMeansNoMaterialization) {

@@ -17,6 +17,7 @@
 #include <shared_mutex>
 #include <thread>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "exec/cost_model.h"
 #include "recycledb/recycledb.h"
@@ -841,6 +842,68 @@ TEST(SpillFormat, CorruptionIsRecoverable) {
   ASSERT_TRUE(WriteSpillFile(path, *t, MakeMeta(*t)).ok());
   fs::resize_file(path, size / 2);
   EXPECT_FALSE(ReadSpillTable(path, &meta, &back).ok());
+}
+
+TEST(SpillFormat, ImplausibleRowCountWithValidChecksumIsRecoverable) {
+  // A checksum stops bit rot, not a crafted file: one string column whose
+  // header claims 2^40 rows, checksum recomputed. Every decoder must
+  // bound the row count by its payload before allocating, so both reads
+  // return an error instead of throwing std::bad_alloc.
+  struct Case {
+    const char* name;
+    bool compress;
+    std::function<std::string(int)> value;
+  };
+  const Case cases[] = {
+      {"raw", false, [](int i) { return "s" + std::to_string(i); }},
+      {"dict", true, [](int i) { return "tag-" + std::to_string(i % 4); }},
+      {"rle", true, [](int) { return std::string("same"); }},
+  };
+  TempSpillDir dir;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TablePtr t = MakeTable(Schema({{"s", TypeId::kString}}));
+    for (int i = 0; i < 3000; ++i) t->AppendRow({c.value(i)});
+    const std::string path = dir.path() + "/" + c.name + ".spill";
+    const SpillFileMeta m = MakeMeta(*t);
+    ASSERT_TRUE(WriteSpillFile(path, *t, m, c.compress).ok());
+
+    std::string bytes;
+    {
+      std::FILE* f = std::fopen(path.c_str(), "rb");
+      ASSERT_NE(f, nullptr);
+      bytes.resize(fs::file_size(path));
+      ASSERT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+      std::fclose(f);
+    }
+    // Prefix (magic, version, header length), canonical key, column
+    // count, one (name, type) record, then the row count.
+    const size_t rows_at = 16 + 4 + m.canon_key.size() + 4 + 4 + 1 + 1;
+    const uint64_t huge = 1ull << 40;
+    std::memcpy(&bytes[rows_at], &huge, sizeof(huge));
+    // The checksum covers header + payload, i.e. everything between the
+    // 16-byte prefix and the trailing 8-byte sum.
+    const uint64_t sum = Fnv1a(bytes.data() + 16, bytes.size() - 16 - 8);
+    std::memcpy(&bytes[bytes.size() - 8], &sum, sizeof(sum));
+    {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+      std::fclose(f);
+    }
+
+    SpillFileMeta meta;
+    ASSERT_TRUE(ReadSpillMeta(path, &meta).ok());
+    ASSERT_EQ(meta.num_rows, static_cast<int64_t>(huge));
+    TablePtr back;
+    Status st = ReadSpillTable(path, &meta, &back);
+    EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+    EXPECT_EQ(st.ToString().find("checksum"), std::string::npos)
+        << st.ToString();
+    st = ReadSpillTableFiltered(path, &meta, /*filter_column=*/0,
+                                AtLeast(std::string("s")), &back);
+    EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------
