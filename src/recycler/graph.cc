@@ -45,6 +45,7 @@ RGNode* RecyclerGraph::AddNode(std::unique_ptr<RGNode> node) {
   raw->last_access_epoch = epoch_.load();
   raw->shape = &shapes_[{raw->type, raw->hash_key}];
   raw->shape->instances.fetch_add(1);
+  ++raw->shape->live;
   nodes_.push_back(std::move(node));
   num_nodes_.fetch_add(1);
   if (raw->children.empty()) {
@@ -92,7 +93,9 @@ int64_t RecyclerGraph::Truncate(int64_t idle_epochs) {
           it = it->second == v ? leaf_index_.erase(it) : std::next(it);
         }
       }
-      // Free the node itself.
+      // Free the node itself, and its shape tally if it was the last
+      // node of its shape.
+      if (--v->shape->live == 0) shapes_.erase({v->type, v->hash_key});
       for (auto it = nodes_.begin(); it != nodes_.end(); ++it) {
         if (it->get() == v) {
           nodes_.erase(it);

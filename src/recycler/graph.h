@@ -66,10 +66,13 @@ struct TableStamp {
 /// its own shape. Speculation reads the tally to stop storing fresh
 /// instances of shapes whose results are never matched again.
 struct ShapeTally {
-  /// Graph nodes of this shape ever inserted.
+  /// Graph nodes of this shape inserted while the tally lived.
   std::atomic<int64_t> instances{0};
   /// Of which exactly matched by a later query at least once.
   std::atomic<int64_t> rematched{0};
+  /// Graph nodes of this shape now in the graph (exclusive lock held);
+  /// Truncate frees the tally when the last one goes.
+  int64_t live = 0;
 };
 
 /// A node of the recycler graph: one relational operator with parameters,
@@ -162,8 +165,9 @@ struct RGNode {
   /// Leaf-index key (empty for non-leaves); needed to unregister on
   /// truncation.
   std::string leaf_key;
-  /// This node's shape tally, set by AddNode. Tallies are never freed, so
-  /// the pointer stays valid for the node's lifetime.
+  /// This node's shape tally, set by AddNode. A tally lives as long as
+  /// any node of its shape, so the pointer stays valid for this node's
+  /// lifetime.
   ShapeTally* shape = nullptr;
 
   // --- materialization state ------------------------------------------
@@ -295,7 +299,9 @@ class RecyclerGraph {
   /// efficiently matching table scans"): leaf key -> nodes.
   std::unordered_multimap<std::string, RGNode*> leaf_index_;
 
-  /// Shape tallies keyed by (type, hash_key); entries are never erased.
+  /// Shape tallies keyed by (type, hash_key) of the live nodes. Select
+  /// and FunctionScan keys carry literals, so without erasure every fresh
+  /// literal set would leave a tally behind.
   struct ShapeKeyHash {
     size_t operator()(const std::pair<OpType, uint64_t>& k) const {
       return static_cast<size_t>(k.second) ^ static_cast<size_t>(k.first);

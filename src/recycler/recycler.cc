@@ -104,6 +104,10 @@ struct PreparedQuery::MNode {
   /// Set instead of `draft` when an earlier node of the same query built
   /// the same graph node (intra-query sharing): this node resolves to it.
   MNode* twin = nullptr;
+  /// Set by PublishMissing when this node (or its twin) resolved to a graph
+  /// node other than its first draft: it adopted an equal published node
+  /// or was rebuilt. Parents built over that draft are rebuilt too.
+  bool redrafted = false;
 };
 
 PreparedQuery::PreparedQuery() = default;
@@ -753,6 +757,11 @@ void Recycler::InsertMissing(MNode* root, PreparedQuery* prepared) {
   // publishes.
   std::vector<MNode*> drafted;
   BuildMissing(root, prepared->query_id_, &drafted);
+  if (before_publish_) {
+    auto hook = std::move(before_publish_);
+    before_publish_ = nullptr;
+    hook();
+  }
   // Phase 2b: revalidate under the exclusive lock (a concurrent query may
   // have inserted a node since phase 1 — the backwards-validation step of
   // the paper's OCC scheme) and publish the rest.
@@ -798,25 +807,30 @@ void Recycler::PublishMissing(MNode* m, PreparedQuery* prepared) {
   if (m->gnode != nullptr) return;
   std::vector<RGNode*> child_g;
   NameMap mapping;
+  bool stale = false;
   for (auto& cm : m->children) {
     PublishMissing(cm.get(), prepared);
     child_g.push_back(cm->gnode);
     mapping.insert(cm->mapping.begin(), cm->mapping.end());
+    stale |= cm->redrafted;
   }
   RGNode* g;
   if (m->twin != nullptr) {
     g = m->twin->gnode;  // resolved earlier in post-order
+    m->redrafted = m->twin->redrafted;
   } else {
-    if (m->draft->children != child_g) {
+    if (stale) {
       // A child lost its insert race, so the draft names a node that was
       // never published: rebuild it over the winner (its id goes unused).
       m->mapping = mapping;
       m->draft =
           BuildNode(*m->plan, child_g, &m->mapping, prepared->query_id_);
+      m->redrafted = true;
     }
     const RGNode& d = *m->draft;
     g = FindNode(graph_, d.type, d.hash_key, d.signature, d.children,
                  d.leaf_key, [&d] { return d.param_fp; });
+    if (g != nullptr) m->redrafted = true;  // adopts the winner
   }
   if (g != nullptr) {
     m->gnode = g;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -387,6 +388,14 @@ class Recycler {
   /// Snapshot of all template-level stats (hash -> aggregate).
   std::map<uint64_t, TemplateStats> TemplateStatsSnapshot() const;
 
+  /// Test seam: `hook` runs once, in the next statement that inserts graph
+  /// nodes, after those nodes are built and before the exclusive lock is
+  /// taken, so a test can publish competing nodes deterministically. Set
+  /// it only while no other statement runs.
+  void SetBeforePublishHook(std::function<void()> hook) {
+    before_publish_ = std::move(hook);
+  }
+
   RecyclerGraph& graph() { return graph_; }
   RecyclerCache& cache() { return cache_; }
   const ColdTier& cold_tier() const { return cold_tier_; }
@@ -406,7 +415,8 @@ class Recycler {
   /// Post-order: a draft (or a twin) for every unmatched node, no lock.
   void BuildMissing(MNode* m, int64_t query_id, std::vector<MNode*>* drafted);
   /// Post-order, exclusive lock held: adopts an equal published node or
-  /// publishes the draft.
+  /// publishes the draft, first rebuilding it if a child did not resolve
+  /// to the draft it was built over.
   void PublishMissing(MNode* m, PreparedQuery* prepared);
   RGNode* MatchOne(const PlanNode& node, const std::vector<RGNode*>& child_g,
                    const NameMap& mapping) const;
@@ -567,6 +577,7 @@ class Recycler {
   Executor executor_;
   RecyclerCounters counters_;
   std::atomic<int64_t> next_query_id_{1};
+  std::function<void()> before_publish_;  // see SetBeforePublishHook
 };
 
 }  // namespace recycledb

@@ -697,11 +697,13 @@ Status EncodeColumnAs(const ColumnVector& col, ColumnEncoding encoding,
 }
 
 Status DecodeColumn(const EncodedColumn& enc, ColumnPtr* out) {
-  if (enc.num_rows < 0) {
-    return Status::Internal("encoded column has negative row count");
-  }
-  // Each decoder bounds num_rows by what its payload can encode before
+  // Row ids are int32 (selection vectors), which bounds every column; each
+  // decoder also bounds num_rows by what its payload can encode before
   // sizing anything from it (RLE by the sum of its runs).
+  if (enc.num_rows < 0 ||
+      enc.num_rows > std::numeric_limits<int32_t>::max()) {
+    return Status::Internal("encoded column row count out of range");
+  }
   ColumnPtr col = MakeColumn(enc.type);
   Status st;
   switch (enc.type) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "recycler/recycler.h"
 #include "test_util.h"
 #include "trace/trace_format.h"
@@ -181,7 +182,7 @@ TEST_F(ConcurrencyTest, RacingInsertsStayConsistent) {
   // later ones revalidate against the first one's published nodes. The
   // graph must hold each node once and every stream must see the bypass
   // result. (Whether a round really overlaps depends on scheduling, so
-  // the test does not require a lost race.)
+  // the test does not require a lost race; LostRaceTest forces one.)
   constexpr int kThreads = 4;
   constexpr int kRounds = 40;
   std::vector<uint64_t> expected;
@@ -225,6 +226,86 @@ TEST_F(ConcurrencyTest, RacingInsertsStayConsistent) {
   EXPECT_EQ(rec.graph().num_nodes(), nodes);
   EXPECT_EQ(rec.graph().Stats().num_nodes, nodes);
   ExpectQuiescentConsistency(rec);
+}
+
+/// Forces a lost insert race deterministically: a statement builds its
+/// nodes, then (before it publishes them) a competing statement publishes
+/// the same scan/select/aggregate under another alias.
+class LostRaceTest : public ConcurrencyTest {
+ protected:
+  PlanPtr Agg(const std::string& alias) {
+    return PlanNode::Aggregate(
+        PlanNode::Select(PlanNode::Scan("t", {"k", "v"}),
+                         Expr::Gt(Expr::Column("k"), Expr::Literal(10))),
+        {"k"}, {{AggFunc::kSum, Expr::Column("v"), alias}});
+  }
+
+  void RunLosingTwice(const PlanPtr& query, int64_t expect_nodes) {
+    Recycler off(&catalog_, OffConfig());
+    const uint64_t expected = trace::ResultDigest(*off.Execute(query).table);
+    bool raced = false;
+    rec_.SetBeforePublishHook([&] {
+      raced = true;
+      rec_.Execute(Agg("total"));
+    });
+    EXPECT_EQ(trace::ResultDigest(*rec_.Execute(query).table), expected);
+    EXPECT_TRUE(raced);
+    EXPECT_EQ(rec_.graph().num_nodes(), expect_nodes);
+    // The graph the race left behind serves the statement again.
+    EXPECT_EQ(trace::ResultDigest(*rec_.Execute(query).table), expected);
+    EXPECT_EQ(rec_.graph().num_nodes(), expect_nodes);
+  }
+
+  /// The graph's only node of `type`.
+  RGNode* Only(OpType type) {
+    RGNode* found = nullptr;
+    for (const auto& n : rec_.graph().nodes()) {
+      if (n->type != type) continue;
+      EXPECT_EQ(found, nullptr) << "duplicate " << OpTypeName(type);
+      found = n.get();
+    }
+    return found;
+  }
+
+  Recycler rec_{&catalog_, RecyclerConfig{}};
+};
+
+TEST_F(LostRaceTest, ParentIsRebuiltOverTheWinner) {
+  PlanPtr query = PlanNode::Project(
+      Agg("sv"), {{Expr::Column("k"), "k"}, {Expr::Column("sv"), "x"}});
+  RunLosingTwice(query, /*scan, select, agg, project*/ 4);
+  std::shared_lock<std::shared_mutex> lock(rec_.graph().mutex());
+  RGNode* agg = Only(OpType::kAggregate);
+  RGNode* project = Only(OpType::kProject);
+  ASSERT_NE(agg, nullptr);
+  ASSERT_NE(project, nullptr);
+  // The projection hangs off the competitor's aggregate and names its
+  // output by the competitor's graph name.
+  EXPECT_EQ(project->children, std::vector<RGNode*>{agg});
+  EXPECT_TRUE(Contains(agg->output_names[1], "total#")) << agg->output_names[1];
+  EXPECT_TRUE(Contains(project->param_fp, agg->output_names[1]))
+      << project->param_fp;
+}
+
+TEST_F(LostRaceTest, TwinResolvesToTheWinner) {
+  // Both join sides hold the same aggregate subtree, built once (the right
+  // one is the left one's twin); the competitor publishes it first.
+  PlanPtr right = PlanNode::Project(
+      Agg("sv"), {{Expr::Column("k"), "k2"}, {Expr::Column("sv"), "sv2"}});
+  PlanPtr query =
+      PlanNode::HashJoin(Agg("sv"), right, JoinKind::kInner, {"k"}, {"k2"});
+  RunLosingTwice(query, /*scan, select, agg, project, join*/ 5);
+  std::shared_lock<std::shared_mutex> lock(rec_.graph().mutex());
+  RGNode* agg = Only(OpType::kAggregate);
+  RGNode* project = Only(OpType::kProject);
+  RGNode* join = Only(OpType::kHashJoin);
+  ASSERT_NE(agg, nullptr);
+  ASSERT_NE(project, nullptr);
+  ASSERT_NE(join, nullptr);
+  EXPECT_EQ(project->children, std::vector<RGNode*>{agg});
+  EXPECT_TRUE(Contains(project->param_fp, agg->output_names[1]))
+      << project->param_fp;
+  EXPECT_EQ(join->children, (std::vector<RGNode*>{agg, project}));
 }
 
 TEST_F(ConcurrencyTest, StallTimeoutFallsBackToExecution) {

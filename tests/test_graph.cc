@@ -128,6 +128,31 @@ TEST_F(GraphTest, ShapeTallyCountsInstancesAndFirstRematches) {
   EXPECT_EQ(selects[1]->shape->rematched.load(), 0);  // threshold 20
 }
 
+TEST_F(GraphTest, TruncationFreesTheTallyOfAShapesLastNode) {
+  RecyclerConfig cfg;
+  cfg.mode = RecyclerMode::kHistory;
+  cfg.cache_bytes = 0;  // nothing cached, so truncation may drop anything
+  Recycler rec(&catalog_, cfg);
+  for (int64_t threshold : {10, 20, 30}) rec.Execute(AggPlan(threshold));
+  // Idle since before the last query: the 10 and 20 chains.
+  EXPECT_EQ(rec.TruncateGraph(/*idle_epochs=*/1), 4);
+  rec.Execute(AggPlan(10));
+  std::shared_lock<std::shared_mutex> lock(rec.graph().mutex());
+  std::vector<RGNode*> aggs, selects;
+  for (const auto& n : rec.graph().nodes()) {
+    if (n->type == OpType::kAggregate) aggs.push_back(n.get());
+    if (n->type == OpType::kSelect) selects.push_back(n.get());
+  }
+  ASSERT_EQ(selects.size(), 2u);
+  ASSERT_EQ(aggs.size(), 2u);
+  // The threshold-10 Select's shape lost its only node, so its tally
+  // started afresh...
+  EXPECT_EQ(selects[1]->shape->instances.load(), 1);
+  // ...while the Aggregate template kept its tally through the 30 chain.
+  ASSERT_EQ(aggs[0]->shape, aggs[1]->shape);
+  EXPECT_EQ(aggs[0]->shape->instances.load(), 4);
+}
+
 TEST_F(GraphTest, GraphSizeAtMatchIsTheNodeCount) {
   RecyclerConfig cfg;
   cfg.mode = RecyclerMode::kHistory;

@@ -847,17 +847,21 @@ TEST(SpillFormat, CorruptionIsRecoverable) {
 TEST(SpillFormat, ImplausibleRowCountWithValidChecksumIsRecoverable) {
   // A checksum stops bit rot, not a crafted file: one string column whose
   // header claims 2^40 rows, checksum recomputed. Every decoder must
-  // bound the row count by its payload before allocating, so both reads
-  // return an error instead of throwing std::bad_alloc.
+  // bound the row count before allocating, so both reads return an error
+  // instead of throwing std::bad_alloc. In "rle-runs" the single run is
+  // patched to agree with a 2^32-1 row header, so only the int32 row-id
+  // bound stands between the header and the allocation.
   struct Case {
     const char* name;
     bool compress;
     std::function<std::string(int)> value;
+    bool patch_runs = false;
   };
   const Case cases[] = {
       {"raw", false, [](int i) { return "s" + std::to_string(i); }},
       {"dict", true, [](int i) { return "tag-" + std::to_string(i % 4); }},
       {"rle", true, [](int) { return std::string("same"); }},
+      {"rle-runs", true, [](int) { return std::string("same"); }, true},
   };
   TempSpillDir dir;
   for (const Case& c : cases) {
@@ -879,8 +883,19 @@ TEST(SpillFormat, ImplausibleRowCountWithValidChecksumIsRecoverable) {
     // Prefix (magic, version, header length), canonical key, column
     // count, one (name, type) record, then the row count.
     const size_t rows_at = 16 + 4 + m.canon_key.size() + 4 + 4 + 1 + 1;
-    const uint64_t huge = 1ull << 40;
+    const uint64_t huge = c.patch_runs ? 0xffffffffull : 1ull << 40;
     std::memcpy(&bytes[rows_at], &huge, sizeof(huge));
+    if (c.patch_runs) {
+      // The RLE payload opens with (num_runs = 1, run = 3000).
+      const uint32_t runs[2] = {1, 3000};
+      const std::string needle(reinterpret_cast<const char*>(runs),
+                               sizeof(runs));
+      const size_t at = bytes.find(needle, rows_at);
+      ASSERT_NE(at, std::string::npos);
+      ASSERT_EQ(bytes.find(needle, at + 1), std::string::npos);
+      const uint32_t run = 0xffffffffu;
+      std::memcpy(&bytes[at + 4], &run, sizeof(run));
+    }
     // The checksum covers header + payload, i.e. everything between the
     // 16-byte prefix and the trailing 8-byte sum.
     const uint64_t sum = Fnv1a(bytes.data() + 16, bytes.size() - 16 - 8);
